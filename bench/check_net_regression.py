@@ -10,8 +10,8 @@ measures on a quiet machine) so shared-runner noise cannot flap the gate
 while genuine order-of-magnitude regressions still trip it.
 
 Also fails if the report's own "ok" flag is false (the bench's per-shard
-bit-identity gates across {1,8} service workers and the mask/allocating
-draw paths, end to end over the socket path), if a baselined section is
+bit-identity gates across the timed worker count and {1,8} service
+workers, end to end over the socket path), if a baselined section is
 missing from the report, or if the offered-load sweep produced no points.
 
 Usage: check_net_regression.py BENCH_net.json net_baseline.json

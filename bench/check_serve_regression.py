@@ -10,9 +10,8 @@ machine) so shared-runner noise cannot flap the gate while genuine
 order-of-magnitude regressions still trip it.
 
 Also fails if the report's own "ok" flag is false (the bench's
-bit-identity gates across worker counts and draw paths), if a baselined
-section is missing from the report, or if the offered-load sweep produced
-no points.
+bit-identity gates across worker counts), if a baselined section is
+missing from the report, or if the offered-load sweep produced no points.
 
 Usage: check_serve_regression.py BENCH_serve.json serve_baseline.json
 """

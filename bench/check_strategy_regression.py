@@ -19,8 +19,9 @@ top of the bench's own exit code:
 
 Also fails if the report's own "ok" flag is false (bit-identity of the
 strategy-path shard aggregates — draw counts and checksums included —
-across {1,8} workers and both draw paths, lost requests, or an optimizer
-loss on a gated mix), or if a baselined section or gated mix is missing.
+across the timed run and its replays at {1,8} workers, lost requests, or
+an optimizer loss on a gated mix), or if a baselined section or gated mix
+is missing.
 
 Usage: check_strategy_regression.py BENCH_strategy.json strategy_baseline.json
 """

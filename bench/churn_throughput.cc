@@ -11,8 +11,8 @@
 //     hot path. Every section is also a functional gate: the per-shard
 //     aggregates (churn_events and final membership epochs included) are
 //     a pure function of the request stream, so the section re-runs with
-//     {1, 8} shard-serving workers and the allocating draw path and the
-//     bench exits nonzero unless all four runs agree shard by shard.
+//     1 and 8 shard-serving workers and the bench exits nonzero unless all
+//     three runs agree shard by shard.
 //
 //   * an epsilon-vs-churn-rate sweep over replica::InstantCluster — for
 //     each Poisson rate lambda, shards of write / churn(k ~ Poisson) /
@@ -23,9 +23,9 @@
 //     the latest record), so the measured count is gated by the predicted
 //     mean plus a multiplicative Chernoff margin sized for failure
 //     probability <= 1e-9 under the null — the conformance test's bound,
-//     re-checked on every CI run at bench scale. A fixed-schedule replay
-//     across {1, 8} threads and both draw paths gates bit-identity of the
-//     measurement itself.
+//     re-checked on every CI run at bench scale. A fixed-schedule replay at
+//     the timed thread count and at 8 threads, against a serial reference,
+//     gates bit-identity of the measurement itself.
 //
 // Flags: --threads=N (shard-serving workers for the timed runs, 0 =
 // hardware), --samples=N (requests per section and pairs per epsilon
@@ -55,8 +55,6 @@
 
 namespace pqs {
 namespace {
-
-using replica::DrawPath;
 
 constexpr std::uint32_t kUniverse = 64;  // R(64, 16) per shard
 constexpr std::uint32_t kQuorum = 16;
@@ -88,12 +86,11 @@ struct RunOutcome {
 // events is fixed — the determinism precondition).
 RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
                  std::uint32_t churn_per_1000, std::uint32_t workers,
-                 DrawPath path, std::uint64_t ops, std::uint64_t seed) {
+                 std::uint64_t ops, std::uint64_t seed) {
   serve::KvService::Config cfg;
   cfg.shards = kShards;
   cfg.workers = workers;
   cfg.quorums = sys;
-  cfg.draw_path = path;
   cfg.seed = seed;
   cfg.dynamic_membership = true;
   serve::KvService service(cfg);
@@ -155,12 +152,11 @@ struct StalenessRun {
 // inter-arrivals on the dedicated churn stream; lambda = 0 means none),
 // read — stale iff the read returns anything but the value just written.
 StalenessRun epsilon_shard(double lambda, std::uint64_t pairs,
-                           std::uint64_t seed, DrawPath path) {
+                           std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
   cfg.seed = seed;
   cfg.churn_seed = seed ^ 0xc4a84e11ULL;
-  cfg.draw_path = path;
   cfg.dynamic_membership = true;
   replica::InstantCluster cluster(cfg);
   StalenessRun run;
@@ -190,12 +186,12 @@ StalenessRun epsilon_shard(double lambda, std::uint64_t pairs,
 std::vector<StalenessRun> epsilon_shards(double lambda,
                                          std::uint64_t pairs_per_shard,
                                          std::uint32_t shards,
-                                         unsigned threads, DrawPath path) {
+                                         unsigned threads) {
   std::vector<StalenessRun> runs(shards);
   util::WorkerPool pool(threads);
   pool.run(shards, [&](std::uint64_t s) {
     runs[s] = epsilon_shard(lambda, pairs_per_shard,
-                            /*seed=*/211 + 1000003 * s, path);
+                            /*seed=*/211 + 1000003 * s);
   });
   return runs;
 }
@@ -235,8 +231,7 @@ std::vector<EpsilonPoint> epsilon_sweep(std::uint64_t pairs_per_shard,
                                                    lambda, 2.0 * eps0);
     StalenessRun total;
     for (const StalenessRun& r :
-         epsilon_shards(lambda, pairs_per_shard, kEpsShards, threads,
-                        DrawPath::kMask)) {
+         epsilon_shards(lambda, pairs_per_shard, kEpsShards, threads)) {
       total.pairs += r.pairs;
       total.stale += r.stale;
     }
@@ -256,24 +251,21 @@ std::vector<EpsilonPoint> epsilon_sweep(std::uint64_t pairs_per_shard,
     points.push_back(p);
   }
 
-  // The measurement is a replay: per-shard results bit-identical across
-  // {1, 8} threads and both draw paths at one representative rate.
+  // The measurement is a replay: per-shard results at the timed thread
+  // count and at 8 threads bit-identical to a serial reference, at one
+  // representative rate.
   const std::uint64_t replay_pairs = std::min<std::uint64_t>(
       pairs_per_shard, 2000);
-  const auto reference =
-      epsilon_shards(4.0, replay_pairs, kEpsShards, 1, DrawPath::kMask);
-  for (const unsigned threads_check : {1u, 8u}) {
-    for (const DrawPath path : {DrawPath::kMask, DrawPath::kAllocating}) {
-      const auto runs = epsilon_shards(4.0, replay_pairs, kEpsShards,
-                                       threads_check, path);
-      for (std::uint32_t s = 0; s < kEpsShards; ++s) {
-        if (!(runs[s] == reference[s])) {
-          std::printf("MISMATCH: epsilon measurement diverged at threads=%u "
-                      "path=%s shard=%u\n",
-                      threads_check,
-                      path == DrawPath::kMask ? "mask" : "alloc", s);
-          ok = false;
-        }
+  const auto reference = epsilon_shards(4.0, replay_pairs, kEpsShards, 1);
+  for (const unsigned threads_check : {threads, 8u}) {
+    const auto runs =
+        epsilon_shards(4.0, replay_pairs, kEpsShards, threads_check);
+    for (std::uint32_t s = 0; s < kEpsShards; ++s) {
+      if (!(runs[s] == reference[s])) {
+        std::printf("MISMATCH: epsilon measurement diverged at threads=%u "
+                    "shard=%u\n",
+                    threads_check, s);
+        ok = false;
       }
     }
   }
@@ -360,14 +352,9 @@ int main_impl(int argc, char** argv) {
     const std::uint64_t seed =
         0xc4u + 131 * static_cast<std::uint64_t>(reports.size());
     const RunOutcome timed =
-        drive(sys, section.churn_per_1000, workers, DrawPath::kMask, ops,
-              seed);
-    const RunOutcome w1 =
-        drive(sys, section.churn_per_1000, 1, DrawPath::kMask, ops, seed);
-    const RunOutcome w8 =
-        drive(sys, section.churn_per_1000, 8, DrawPath::kMask, ops, seed);
-    const RunOutcome alloc = drive(sys, section.churn_per_1000, workers,
-                                   DrawPath::kAllocating, ops, seed);
+        drive(sys, section.churn_per_1000, workers, ops, seed);
+    const RunOutcome w1 = drive(sys, section.churn_per_1000, 1, ops, seed);
+    const RunOutcome w8 = drive(sys, section.churn_per_1000, 8, ops, seed);
     if (!(timed.aggregates == w1.aggregates) ||
         !(timed.aggregates == w8.aggregates)) {
       std::printf("MISMATCH: %s shard aggregates differ across worker "
@@ -375,13 +362,7 @@ int main_impl(int argc, char** argv) {
                   section.name.c_str());
       ok = false;
     }
-    if (!(timed.aggregates == alloc.aggregates)) {
-      std::printf("MISMATCH: %s shard aggregates differ across draw paths\n",
-                  section.name.c_str());
-      ok = false;
-    }
-    if (!timed.drained_all || !w1.drained_all || !w8.drained_all ||
-        !alloc.drained_all) {
+    if (!timed.drained_all || !w1.drained_all || !w8.drained_all) {
       std::printf("MISMATCH: %s lost requests or churn events in the "
                   "drain\n",
                   section.name.c_str());
@@ -412,8 +393,8 @@ int main_impl(int argc, char** argv) {
     write_json(opts.json.c_str(), reports, sweep, ops, ok);
   }
 
-  std::printf(ok ? "OK: aggregates bit-identical across worker counts and "
-                   "draw paths; stale rates within timed-epsilon bounds\n"
+  std::printf(ok ? "OK: aggregates bit-identical across worker counts; "
+                   "stale rates within timed-epsilon bounds\n"
                  : "FAILED: see mismatches above\n");
   return ok ? 0 : 1;
 }

@@ -9,11 +9,10 @@
 //   * a connection sweep {1, 2, 4} under Zipfian(0.99) plus a uniform
 //     single-connection point, unpaced (latency = RTT + queue time);
 //   * the tentpole determinism gate: the same single-connection request
-//     stream re-driven across {1, 8} service workers and the
-//     mask/allocating draw paths, exiting nonzero unless every per-shard
-//     aggregate (reads, writes, stale/empty reads, access checksum) is
-//     bit-identical — the in-process contract must survive the socket
-//     path byte for byte;
+//     stream re-driven at the timed worker count and at 1 and 8 service
+//     workers, exiting nonzero unless every per-shard aggregate (reads,
+//     writes, stale/empty reads, access checksum) is bit-identical — the
+//     in-process contract must survive the socket path byte for byte;
 //   * an offered-load sweep over ONE live deployment, paced by the
 //     open-loop schedule (latency measured from each op's *scheduled*
 //     send time — coordinated-omission-safe), where each point's
@@ -43,8 +42,6 @@
 
 namespace pqs {
 namespace {
-
-using replica::DrawPath;
 
 constexpr std::uint32_t kUniverse = 25;  // majority quorums contact 13
 constexpr std::uint64_t kKeys = 4096;
@@ -88,15 +85,14 @@ struct RunOutcome {
 
 // One complete deployment + drive + teardown over loopback.
 RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
-                 std::uint32_t workers, DrawPath path,
-                 std::uint32_t connections, std::uint32_t io_threads,
+                 std::uint32_t workers, std::uint32_t connections,
+                 std::uint32_t io_threads,
                  const workload::OpenLoopSpec& spec, std::uint64_t ops,
                  std::uint64_t seed) {
   serve::KvService::Config cfg;
   cfg.shards = kShards;
   cfg.workers = workers;
   cfg.quorums = sys;
-  cfg.draw_path = path;
   cfg.seed = seed;
   serve::KvService service(cfg);
 
@@ -321,9 +317,8 @@ int main_impl(int argc, char** argv) {
   for (const SectionSpec& section : make_sections()) {
     const std::uint64_t seed =
         0x7cbULL + 131 * static_cast<std::uint64_t>(reports.size());
-    const RunOutcome timed =
-        drive(sys, workers, DrawPath::kMask, section.connections,
-              section.io_threads, section.spec, ops, seed);
+    const RunOutcome timed = drive(sys, workers, section.connections,
+                                   section.io_threads, section.spec, ops, seed);
     if (!timed.drained_all) {
       std::printf("MISMATCH: %s lost requests over the socket path\n",
                   section.name.c_str());
@@ -344,8 +339,8 @@ int main_impl(int argc, char** argv) {
 
   // The tentpole gate: one connection pins the per-shard request
   // subsequences to wire order, so the deterministic aggregates must
-  // survive the socket path bit for bit across service worker counts and
-  // draw paths — exactly the in-process serve_throughput contract.
+  // survive the socket path bit for bit across service worker counts —
+  // exactly the in-process serve_throughput contract.
   {
     workload::OpenLoopSpec spec;
     spec.keys = kKeys;
@@ -353,30 +348,19 @@ int main_impl(int argc, char** argv) {
     spec.read_fraction = 0.5;
     const std::uint64_t gate_ops = std::min<std::uint64_t>(ops, 20000);
     const std::uint64_t seed = 0xd00dULL;
-    struct GateRun {
-      const char* name;
-      std::uint32_t workers;
-      DrawPath path;
-    };
-    const GateRun runs[] = {
-        {"workers1_mask", 1, DrawPath::kMask},
-        {"workers8_mask", 8, DrawPath::kMask},
-        {"workers1_alloc", 1, DrawPath::kAllocating},
-        {"workers8_alloc", 8, DrawPath::kAllocating},
-    };
     std::vector<serve::ShardAggregate> base;
-    for (const GateRun& g : runs) {
-      const RunOutcome r =
-          drive(sys, g.workers, g.path, 1, 1, spec, gate_ops, seed);
-      std::printf("[net-gate] %s checksum=%" PRIu64 " drained=%s\n", g.name,
-                  r.fold.access_checksum, r.drained_all ? "yes" : "NO");
+    for (const unsigned gate_workers : {workers, 1u, 8u}) {
+      const RunOutcome r = drive(sys, gate_workers, 1, 1, spec, gate_ops, seed);
+      std::printf("[net-gate] workers%u checksum=%" PRIu64 " drained=%s\n",
+                  gate_workers, r.fold.access_checksum,
+                  r.drained_all ? "yes" : "NO");
       if (!r.drained_all) ok = false;
       if (base.empty()) {
         base = r.aggregates;
       } else if (!(base == r.aggregates)) {
-        std::printf("MISMATCH: %s shard aggregates differ over the socket "
-                    "path\n",
-                    g.name);
+        std::printf("MISMATCH: workers%u shard aggregates differ over the "
+                    "socket path\n",
+                    gate_workers);
         ok = false;
       }
     }
@@ -400,7 +384,7 @@ int main_impl(int argc, char** argv) {
   }
 
   std::printf(ok ? "OK: shard aggregates bit-identical across the socket "
-                   "path (workers {1,8} x {mask,alloc})\n"
+                   "path\n"
                  : "FAILED: see mismatches above\n");
   return ok ? 0 : 1;
 }

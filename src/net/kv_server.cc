@@ -308,7 +308,7 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
 
 void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
   if (conn->closed.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(conn->out_mutex);
+  std::unique_lock<std::mutex> lock(conn->out_mutex);
   while (conn->out_offset < conn->out.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->out.data() + conn->out_offset,
@@ -322,8 +322,11 @@ void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
         }
         return;
       }
-      // Hard send error: mark closed; the next read event reaps the fd.
-      conn->closed.store(true, std::memory_order_release);
+      // Hard send error (the peer reset): reap the fd now. Nothing else
+      // would — handle_io ignores a closed connection — so a peer that
+      // resets mid-flush would otherwise pin its fd until stop().
+      lock.unlock();
+      close_connection(conn);
       return;
     }
     conn->out_offset += static_cast<std::size_t>(n);

@@ -19,9 +19,10 @@
 // is exactly the regime the timed-quorum analysis of Gramoli & Raynal
 // models (core/timed_epsilon.h). The draw happens over the compact rank
 // universe [0, live_count()) and is expanded through the live mask
-// (QuorumBitset::or_expand), so the mask and allocating protocol paths
-// consume identical rng streams — and, when every slot is live, the same
-// stream as core::RandomSubsetSystem over the full universe.
+// (QuorumBitset::or_expand), so sample_live_mask and its sorted-vector
+// oracle sample_live_into consume identical rng streams — and, when every
+// slot is live, the same stream as core::RandomSubsetSystem over the full
+// universe.
 #pragma once
 
 #include <cstdint>

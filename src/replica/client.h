@@ -18,7 +18,6 @@
 #include "math/rng.h"
 #include "quorum/bitset.h"
 #include "quorum/quorum_system.h"
-#include "replica/draw_path.h"
 #include "replica/message.h"
 #include "replica/read_rules.h"
 #include "sim/network.h"
@@ -49,9 +48,6 @@ class Client {
     sim::Time timeout = 1'000'000;  // 1 virtual second
     crypto::Key128 writer_key{};
     std::uint32_t writer_id = 1;
-    // Quorum selection path; kMask draws into per-client scratch without
-    // allocating, kAllocating is the original sample() flow (draw_path.h).
-    DrawPath draw_path = DrawPath::kMask;
   };
 
   Client(sim::NodeId node, Config config, sim::Simulator& simulator,
@@ -93,11 +89,9 @@ class Client {
   void finish_write(OpId op, bool complete);
   void finish_read(OpId op, bool complete);
 
-  // Draws the next quorum into `out` by the configured path. On the mask
-  // path the draw goes through draw_mask_ scratch and is then materialized
-  // into `out` — each pending operation owns a fresh outcome vector, so
-  // unlike InstantCluster the sim client still allocates per op; what the
-  // paths share is the draw itself (same member set, same rng stream).
+  // Draws the next quorum through draw_mask_ scratch and materializes it
+  // into `out`. Each pending operation owns a fresh outcome vector, so
+  // unlike InstantCluster the sim client still allocates per op.
   void draw_quorum(quorum::Quorum& out);
   // Sends `message` to every member of the quorum just drawn.
   void send_to_quorum(const quorum::Quorum& quorum, const Message& message);
@@ -111,7 +105,7 @@ class Client {
   crypto::Verifier verifier_;
   std::uint64_t next_op_ = 1;
   std::uint64_t write_seq_ = 0;
-  quorum::QuorumBitset draw_mask_;  // per-client draw scratch (kMask path)
+  quorum::QuorumBitset draw_mask_;  // per-client draw scratch
   std::unordered_map<OpId, PendingWrite> writes_;
   std::unordered_map<OpId, PendingRead> reads_;
 };

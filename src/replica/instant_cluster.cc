@@ -102,6 +102,25 @@ std::uint64_t InstantCluster::next_timestamp(std::uint32_t writer) {
   return (++writer_seq_[writer] << 16) | writer;
 }
 
+void InstantCluster::draw_quorum(bool is_write) {
+  if (config_.strategy) {
+    // One alias-table word from the shared quorum stream; the prebuilt
+    // support mask is copied into the scratch.
+    const quorum::Strategy& strategy = *config_.strategy;
+    const std::uint32_t idx = is_write ? strategy.draw_write_index(rng_)
+                                       : strategy.draw_read_index(rng_);
+    record_strategy_draw(idx, is_write);
+    draw_mask_ = is_write ? strategy.write_mask(idx) : strategy.read_mask(idx);
+  } else if (config_.dynamic_membership) {
+    // R(live, q) over the current view. With every slot live this
+    // consumes the exact rng draws of the static sample_mask below.
+    view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
+                           draw_mask_, compact_scratch_);
+  } else {
+    config_.quorums->sample_mask(draw_mask_, rng_);
+  }
+}
+
 WriteResult InstantCluster::write(VariableId variable, std::int64_t value) {
   return write_as(1, variable, value);
 }
@@ -121,52 +140,13 @@ void InstantCluster::write_into(WriteResult& result, VariableId variable,
 void InstantCluster::write_as_into(WriteResult& result, std::uint32_t writer,
                                    VariableId variable, std::int64_t value) {
   result.acks = 0;
-  if (config_.draw_path == DrawPath::kMask) {
-    if (config_.strategy) {
-      // One alias-table word from the shared quorum stream; the prebuilt
-      // support mask is copied into the scratch, so both paths pick the
-      // same index from the same stream position.
-      const std::uint32_t idx = config_.strategy->draw_write_index(rng_);
-      record_strategy_draw(idx, true);
-      draw_mask_ = config_.strategy->write_mask(idx);
-    } else if (config_.dynamic_membership) {
-      // R(live, q) over the current view. With every slot live this
-      // consumes the exact rng draws of the static sample_mask below.
-      view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
-                             draw_mask_, compact_scratch_);
-    } else {
-      config_.quorums->sample_mask(draw_mask_, rng_);
-    }
-    result.timestamp = next_timestamp(writer);
-    const auto record =
-        signer_.sign(variable, value, result.timestamp, writer);
-    draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
-      if (servers_[u]->apply_write(WriteRequest{0, record})) ++result.acks;
-    });
-    draw_mask_.to_quorum_into(result.quorum);
-  } else {
-    // The original flow, preserved verbatim for A/B measurement: allocating
-    // draw, message dispatch through process() and its Outbound vectors.
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_write_index(rng_);
-      record_strategy_draw(idx, true);
-      result.quorum = config_.strategy->write_quorum(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_into(config_.quorums->min_quorum_size(), rng_,
-                             result.quorum);
-    } else {
-      result.quorum = config_.quorums->sample(rng_);
-    }
-    result.timestamp = next_timestamp(writer);
-    const auto record =
-        signer_.sign(variable, value, result.timestamp, writer);
-    for (auto u : result.quorum) {
-      const auto out = servers_[u]->process(kClientId, WriteRequest{0, record});
-      for (const auto& o : out) {
-        if (std::holds_alternative<WriteAck>(o.message)) ++result.acks;
-      }
-    }
-  }
+  draw_quorum(/*is_write=*/true);
+  result.timestamp = next_timestamp(writer);
+  const auto record = signer_.sign(variable, value, result.timestamp, writer);
+  draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
+    if (servers_[u]->apply_write(WriteRequest{0, record})) ++result.acks;
+  });
+  draw_mask_.to_quorum_into(result.quorum);
 }
 
 ReadResult InstantCluster::read(VariableId variable) {
@@ -179,48 +159,15 @@ void InstantCluster::read_into(ReadResult& result, VariableId variable) {
   result.replies = 0;
   result.repairs = 0;
   reply_scratch_.clear();
-  if (config_.draw_path == DrawPath::kMask) {
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_read_index(rng_);
-      record_strategy_draw(idx, false);
-      draw_mask_ = config_.strategy->read_mask(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_mask(config_.quorums->min_quorum_size(), rng_,
-                             draw_mask_, compact_scratch_);
-    } else {
-      config_.quorums->sample_mask(draw_mask_, rng_);
+  draw_quorum(/*is_write=*/false);
+  draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
+    ReadReply reply;
+    if (servers_[u]->serve_read(ReadRequest{0, variable}, reply)) {
+      reply_scratch_.push_back(reply);
+      ++result.replies;
     }
-    draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
-      ReadReply reply;
-      if (servers_[u]->serve_read(ReadRequest{0, variable}, reply)) {
-        reply_scratch_.push_back(reply);
-        ++result.replies;
-      }
-    });
-    draw_mask_.to_quorum_into(result.quorum);
-  } else {
-    // Original flow kept for A/B (see write_as_into).
-    if (config_.strategy) {
-      const std::uint32_t idx = config_.strategy->draw_read_index(rng_);
-      record_strategy_draw(idx, false);
-      result.quorum = config_.strategy->read_quorum(idx);
-    } else if (config_.dynamic_membership) {
-      view_.sample_live_into(config_.quorums->min_quorum_size(), rng_,
-                             result.quorum);
-    } else {
-      result.quorum = config_.quorums->sample(rng_);
-    }
-    for (auto u : result.quorum) {
-      const auto out =
-          servers_[u]->process(kClientId, ReadRequest{0, variable});
-      for (const auto& o : out) {
-        if (const auto* r = std::get_if<ReadReply>(&o.message)) {
-          reply_scratch_.push_back(*r);
-          ++result.replies;
-        }
-      }
-    }
-  }
+  });
+  draw_mask_.to_quorum_into(result.quorum);
   result.selection =
       select(config_.mode, reply_scratch_, &verifier_, config_.read_threshold);
 }

@@ -1,6 +1,7 @@
 #include "serve/kv_service.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "util/require.h"
 
@@ -52,7 +53,6 @@ KvService::KvService(Config config) : config_(std::move(config)) {
     cluster_cfg.mode = config_.read_mode;
     cluster_cfg.read_threshold = config_.read_threshold;
     cluster_cfg.seed = config_.seed + 0x51ed2701ULL * (s + 1);
-    cluster_cfg.draw_path = config_.draw_path;
     cluster_cfg.dynamic_membership = config_.dynamic_membership;
     cluster_cfg.initial_live = config_.initial_live;
     cluster_cfg.churn_seed = config_.seed + 0xc4a84e11ULL * (s + 1);
@@ -283,6 +283,16 @@ void KvService::process(Shard& shard, const Request& request) {
     }
     completion_(done);
   }
+}
+
+std::ostream& operator<<(std::ostream& os, const ShardAggregate& a) {
+  const char* sep = "{";
+#define PQS_AGGREGATE_PRINT(name) \
+  os << sep << #name "=" << a.name; \
+  sep = ", ";
+  PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_PRINT)
+#undef PQS_AGGREGATE_PRINT
+  return os << "}";
 }
 
 const ShardAggregate& KvService::shard_aggregate(std::uint32_t shard) const {

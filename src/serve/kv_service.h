@@ -16,8 +16,9 @@
 // so as long as every shard's request subsequence arrives in a fixed
 // order (one producer, or producers partitioned by shard), each shard's
 // aggregate counters are bit-identical across worker-thread counts and
-// across mask/allocating draw paths. Latency histograms are measured
-// (timing-dependent) and deliberately excluded from the aggregate.
+// SIMD tables, and pinned to committed goldens in the serving tests.
+// Latency histograms are measured (timing-dependent) and deliberately
+// excluded from the aggregate.
 //
 // Latency is recorded against the request's *scheduled* arrival time
 // (workload::OpenLoopGenerator), so queueing delay from a backed-up shard
@@ -31,12 +32,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <iosfwd>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "quorum/quorum_system.h"
-#include "replica/draw_path.h"
 #include "replica/instant_cluster.h"
 #include "stats/counters.h"
 #include "stats/latency_histogram.h"
@@ -48,8 +49,8 @@ namespace pqs::serve {
 // Membership changes ride the shard rings as in-band requests, so a churn
 // event has a definite position in the shard's FIFO request subsequence —
 // which is exactly what keeps churned runs inside the bit-identity
-// contract: same subsequence, same aggregates, at any worker count and on
-// either draw path. kReplace turns over a uniformly random live slot
+// contract: same subsequence, same aggregates, at any worker count.
+// kReplace turns over a uniformly random live slot
 // (drawn from the cluster's dedicated churn rng); kJoin/kLeave target the
 // slot in Request::key.
 enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
@@ -59,7 +60,7 @@ enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
 // Request::key at a definite FIFO position in the shard's request
 // subsequence. Adversarial scenarios are therefore deterministic and
 // replayable — the same submission order produces bit-identical
-// aggregates at any worker count and on either draw path. The kinds
+// aggregates at any worker count. The kinds
 // mirror replica::FaultMode one-for-one (kCorrect heals a server).
 enum class FaultKind : std::uint8_t {
   kNone = 0,
@@ -102,68 +103,51 @@ struct Completion {
 
 // The deterministic per-shard outcome counters: everything here is a pure
 // function of the shard's request subsequence (no timings), so it is the
-// payload of the bit-identity gates in bench/serve_throughput.
+// payload of the bit-identity gates and of the serving tests' committed
+// goldens. The counters are listed once; the members (in this order), ==,
+// += and the printer all expand from the list, so a new counter is one
+// line. The Byzantine and strategy counters stay zero on plain honest
+// deployments, so each extended the gate without disturbing it.
+// access_checksum, membership_epoch and the strategy pair are filled at
+// stop_and_drain.
+#define PQS_SHARD_AGGREGATE_FIELDS(X)                                       \
+  X(reads)                                                                  \
+  X(writes)                                                                 \
+  X(stale_reads)        /* read selection != last applied write */          \
+  X(empty_reads)        /* no selection, or a never-written key */          \
+  X(access_checksum)    /* sum over servers of (u + 1) * contacts[u] */     \
+  X(churn_events)       /* membership churn applied in-band */              \
+  X(membership_epoch)   /* final view epoch; 0 for static shards */         \
+  X(rejected_forgeries) /* replies refused: bad MAC, sub-k vouchers */      \
+  X(masked_reads)       /* rejected a reply yet still selected a value */   \
+  X(bot_reads)          /* selection was ⊥ */                               \
+  X(fault_events)       /* fault-mode flips applied in-band */              \
+  X(strategy_draws)     /* alias-table draws (0 without a strategy) */      \
+  X(strategy_checksum)  /* ordered fold of (support index, side) draws */
+
 struct ShardAggregate {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t stale_reads = 0;  // read selection != last applied write
-  std::uint64_t empty_reads = 0;  // no selection, or never-written key
-  // Position-weighted per-server contact checksum (same shape as the
-  // protocol harness): sum over servers of (u + 1) * contacts[u].
-  std::uint64_t access_checksum = 0;
-  // Membership churn applied in-band on this shard, and the shard
-  // cluster's final view epoch (filled at stop_and_drain; 0 for static
-  // shards). Both are deterministic functions of the request subsequence,
-  // so they sit inside the bit-identity gate like everything else here.
-  std::uint64_t churn_events = 0;
-  std::uint64_t membership_epoch = 0;
-  // Byzantine-read accounting (all zero under plain reads on an honest
-  // fleet, so the counters extend the gate without disturbing it):
-  // replies the selection rule refused (failed MACs under dissemination,
-  // sub-k voucher groups under masking), reads that rejected at least one
-  // reply yet still selected a value (the rule *masked* the fault), reads
-  // whose selection was ⊥, and fault-mode flips applied in-band.
-  std::uint64_t rejected_forgeries = 0;
-  std::uint64_t masked_reads = 0;
-  std::uint64_t bot_reads = 0;
-  std::uint64_t fault_events = 0;
-  // Strategy-draw record (zero without a Config::strategy, so the gate is
-  // undisturbed on plain deployments): how many alias-table draws the
-  // shard cluster made, and the order-sensitive fold of the drawn
-  // (support index, read/write side) pairs — filled at stop_and_drain
-  // like access_checksum.
-  std::uint64_t strategy_draws = 0;
-  std::uint64_t strategy_checksum = 0;
+#define PQS_AGGREGATE_MEMBER(name) std::uint64_t name = 0;
+  PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_MEMBER)
+#undef PQS_AGGREGATE_MEMBER
 
   bool operator==(const ShardAggregate& o) const {
-    return reads == o.reads && writes == o.writes &&
-           stale_reads == o.stale_reads && empty_reads == o.empty_reads &&
-           access_checksum == o.access_checksum &&
-           churn_events == o.churn_events &&
-           membership_epoch == o.membership_epoch &&
-           rejected_forgeries == o.rejected_forgeries &&
-           masked_reads == o.masked_reads && bot_reads == o.bot_reads &&
-           fault_events == o.fault_events &&
-           strategy_draws == o.strategy_draws &&
-           strategy_checksum == o.strategy_checksum;
+    bool equal = true;
+#define PQS_AGGREGATE_EQUAL(name) equal = equal && name == o.name;
+    PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_EQUAL)
+#undef PQS_AGGREGATE_EQUAL
+    return equal;
   }
   ShardAggregate& operator+=(const ShardAggregate& o) {
-    reads += o.reads;
-    writes += o.writes;
-    stale_reads += o.stale_reads;
-    empty_reads += o.empty_reads;
-    access_checksum += o.access_checksum;
-    churn_events += o.churn_events;
-    membership_epoch += o.membership_epoch;
-    rejected_forgeries += o.rejected_forgeries;
-    masked_reads += o.masked_reads;
-    bot_reads += o.bot_reads;
-    fault_events += o.fault_events;
-    strategy_draws += o.strategy_draws;
-    strategy_checksum += o.strategy_checksum;
+#define PQS_AGGREGATE_ADD(name) name += o.name;
+    PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_ADD)
+#undef PQS_AGGREGATE_ADD
     return *this;
   }
 };
+
+// Prints every counter by name, in declaration order:
+// "{reads=1, writes=2, ...}".
+std::ostream& operator<<(std::ostream& os, const ShardAggregate& a);
 
 class KvService {
  public:
@@ -175,7 +159,6 @@ class KvService {
     std::size_t queue_capacity = 4096;  // per-shard ring slots
     std::size_t batch = 64;             // max requests per dequeue
     std::shared_ptr<const quorum::QuorumSystem> quorums;
-    replica::DrawPath draw_path = replica::DrawPath::kMask;
     std::uint64_t seed = 1;  // shard s cluster seed derives from this
     // Dynamic membership on every shard cluster (see
     // replica::InstantCluster::Config): the quorum system's universe

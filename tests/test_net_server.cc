@@ -6,7 +6,7 @@
 // handoff, and the client's reader threads. The load-bearing contract is
 // the tentpole gate in miniature: with a single client connection the
 // per-shard deterministic aggregates observed through the socket path
-// must be bit-identical across service worker counts and draw paths.
+// must equal committed goldens at every service worker count.
 // The rest pins down GET/PUT semantics, out-of-order response matching
 // under pipelining, the inline STATS opcode, and that garbage on the
 // wire closes the connection instead of wedging the server.
@@ -17,10 +17,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <memory>
+#include <thread>
 #include <vector>
 
+#include "golden_aggregates.h"
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/kv_server.h"
@@ -37,14 +42,12 @@ std::shared_ptr<const quorum::QuorumSystem> majority(std::uint32_t n = 15) {
 }
 
 serve::KvService::Config service_config(std::uint32_t shards,
-                                        std::uint32_t workers,
-                                        replica::DrawPath path) {
+                                        std::uint32_t workers) {
   serve::KvService::Config cfg;
   cfg.shards = shards;
   cfg.workers = workers;
   cfg.queue_capacity = 256;
   cfg.quorums = majority();
-  cfg.draw_path = path;
   cfg.seed = 99;
   return cfg;
 }
@@ -52,10 +55,9 @@ serve::KvService::Config service_config(std::uint32_t shards,
 // One server deployment driven over loopback by one pipelined
 // connection; returns the service's per-shard aggregates.
 std::vector<serve::ShardAggregate> run_over_socket(std::uint32_t workers,
-                                                   replica::DrawPath path,
                                                    std::uint32_t io_threads,
                                                    std::uint64_t ops) {
-  serve::KvService service(service_config(4, workers, path));
+  serve::KvService service(service_config(4, workers));
   KvServer::Config server_cfg;
   server_cfg.io_threads = io_threads;
   KvServer server(server_cfg, service);
@@ -88,8 +90,7 @@ std::vector<serve::ShardAggregate> run_over_socket(std::uint32_t workers,
 }
 
 TEST(KvServer, PutThenGetRoundTripsTheValue) {
-  serve::KvService service(
-      service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   ASSERT_GT(server.port(), 0);
@@ -120,16 +121,26 @@ TEST(KvServer, PutThenGetRoundTripsTheValue) {
   server.stop();
 }
 
-TEST(KvServer, AggregatesBitIdenticalAcrossWorkersAndDrawPathsOverTcp) {
-  constexpr std::uint64_t kOps = 2000;
-  using replica::DrawPath;
-  const auto base = run_over_socket(1, DrawPath::kMask, 1, kOps);
-  ASSERT_EQ(base.size(), 4u);
-  EXPECT_EQ(base, run_over_socket(4, DrawPath::kMask, 1, kOps));
-  EXPECT_EQ(base, run_over_socket(4, DrawPath::kAllocating, 1, kOps));
+// Golden per-shard aggregates of run_over_socket(_, _, 2000), one row per
+// shard with the fields in PQS_SHARD_AGGREGATE_FIELDS order. They move
+// only with a deliberate change to what the protocol computes, updated in
+// that same change.
+const std::vector<serve::ShardAggregate> kTcpGolden = {
+    {150, 143, 0, 5, 18640, 0, 0, 0, 0, 5, 0, 0, 0},
+    {191, 205, 0, 10, 25560, 0, 0, 0, 0, 10, 0, 0, 0},
+    {562, 531, 0, 24, 70320, 0, 0, 0, 0, 24, 0, 0, 0},
+    {112, 106, 0, 14, 13989, 0, 0, 0, 0, 14, 0, 0, 0},
+};
+
+TEST(KvServer, AggregatesMatchGoldensAtEveryWorkerCountOverTcp) {
   // More IO threads change nothing either: one connection still decodes
   // on one thread, in wire order.
-  EXPECT_EQ(base, run_over_socket(2, DrawPath::kMask, 2, kOps));
+  const std::uint32_t runs[][2] = {{1, 1}, {4, 1}, {2, 2}};
+  for (const auto& [workers, io_threads] : runs) {
+    EXPECT_TRUE(serve::MatchesGoldens(
+        run_over_socket(workers, io_threads, 2000), kTcpGolden))
+        << "workers=" << workers << " io_threads=" << io_threads;
+  }
 }
 
 TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
@@ -137,8 +148,7 @@ TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
   // responses come back out of send order and only the request_id echo
   // can pair them. The client asserts every response matches a pending
   // request (a mismatch fails the connection).
-  serve::KvService service(
-      service_config(8, 4, replica::DrawPath::kMask));
+  serve::KvService service(service_config(8, 4));
   KvServer::Config server_cfg;
   server_cfg.io_threads = 2;
   KvServer server(server_cfg, service);
@@ -165,8 +175,7 @@ TEST(KvServer, PipelinedResponsesMatchOutOfOrderCompletions) {
 }
 
 TEST(KvServer, StatsOpcodeAnsweredInlineFromTheIoThread) {
-  serve::KvService service(
-      service_config(1, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -221,8 +230,7 @@ TEST(KvServer, StatsOpcodeAnsweredInlineFromTheIoThread) {
 }
 
 TEST(KvServer, GarbageBytesCloseTheConnectionNotTheServer) {
-  serve::KvService service(
-      service_config(1, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -273,8 +281,7 @@ TEST(KvServer, GarbageBytesCloseTheConnectionNotTheServer) {
 ClientStats run_against_fault(FaultInjector& injector,
                               std::uint32_t client_connections,
                               std::uint64_t ops) {
-  serve::KvService service(
-      service_config(2, 2, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 2));
   KvServer::Config server_cfg;
   server_cfg.fault_injector = &injector;
   KvServer server(server_cfg, service);
@@ -351,8 +358,7 @@ TEST(KvServerFaults, DelayedResponsesCompleteWithoutDeadlines) {
   FaultInjector injector(fcfg);
   injector.set_action(1, FaultAction::kDelay);
 
-  serve::KvService service(
-      service_config(2, 2, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 2));
   KvServer::Config server_cfg;
   server_cfg.fault_injector = &injector;
   KvServer server(server_cfg, service);
@@ -480,7 +486,7 @@ bool read_frame(int fd, FrameDecoder& decoder, Frame& out) {
 }
 
 TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -523,7 +529,7 @@ TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {
 }
 
 TEST(KvServerAdversarial, OversizedBodyLengthCondemnsAfterFourBytes) {
-  serve::KvService service(service_config(1, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(1, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -557,7 +563,7 @@ TEST(KvServerAdversarial, OversizedBodyLengthCondemnsAfterFourBytes) {
 }
 
 TEST(KvServerAdversarial, ReplayedRequestIdsEachGetTheirOwnResponse) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -600,7 +606,7 @@ TEST(KvServerAdversarial, ReplayedRequestIdsEachGetTheirOwnResponse) {
 }
 
 TEST(KvServerAdversarial, SharedRequestIdsStayOnTheirOwnConnections) {
-  serve::KvService service(service_config(2, 1, replica::DrawPath::kMask));
+  serve::KvService service(service_config(2, 1));
   KvServer server(KvServer::Config{}, service);
   server.start();
   service.start();
@@ -645,6 +651,61 @@ TEST(KvServerAdversarial, SharedRequestIdsStayOnTheirOwnConnections) {
   ::close(fd_a);
   ::close(fd_b);
   EXPECT_EQ(server.protocol_errors(), 0u);
+  service.stop_and_drain();
+  server.stop();
+}
+
+// Entries in /proc/self/fd: the process's open descriptors. The
+// iterator's own descriptor is open during every count, so counts compare.
+std::size_t open_fd_count() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
+}
+
+// A peer that resets while its responses are being flushed must not pin
+// its connection. The flush's hard send error can be the server's only
+// notice, so the fd has to be reaped there. Raw sockets pipeline GETs,
+// read one response, then abort with RST (SO_LINGER {1, 0}), a few
+// hundred times; the process's fd count must then fall back to its
+// starting value while the server still runs — stop() would close any
+// leftovers and hide the leak.
+TEST(KvServerAdversarial, PeerResetDuringFlushReleasesItsFd) {
+  constexpr int kCycles = 500;
+  constexpr std::size_t kPipelined = 1024;
+  serve::KvService service(service_config(4, 2));
+  KvServer server(KvServer::Config{}, service);
+  server.start();
+  service.start();
+
+  std::vector<unsigned char> wire(kPipelined * kFrameBytes);
+  Frame get;
+  get.op = Op::kGet;
+  for (std::size_t i = 0; i < kPipelined; ++i) {
+    get.request_id = i;
+    get.key = i;
+    encode_frame(get, &wire[i * kFrameBytes]);
+  }
+  linger abort{};
+  abort.l_onoff = 1;
+  abort.l_linger = 0;
+  const std::size_t fds_before = open_fd_count();
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const int fd = raw_connect(server.port());
+    send_all(fd, wire.data(), wire.size());
+    unsigned char first[kFrameBytes];
+    ASSERT_GT(::recv(fd, first, sizeof(first), 0), 0);
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+    ::close(fd);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (open_fd_count() > fds_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(open_fd_count(), fds_before)
+      << "server-side connections leaked after " << kCycles << " resets";
   service.stop_and_drain();
   server.stop();
 }

@@ -1,12 +1,15 @@
-// The protocol stack's two quorum draw paths must be indistinguishable:
-// for any construction and any seed, a Client/InstantCluster on the mask
-// scratch path (DrawPath::kMask — sample_mask into per-instance bitsets,
-// direct server calls) must produce bit-identical operation outcomes and
-// rng consumption to the original allocating path (DrawPath::kAllocating —
-// sample() plus process()/Outbound dispatch). Checked per operation over
-// every construction, with and without faults, at 1 and 8 worker shards.
+// The protocol stack draws each operation's quorum with sample_mask into
+// per-instance scratch and reaches the servers through their direct entry
+// points. That draw must be the construction's access strategy exactly:
+// for any construction and any seed, every InstantCluster quorum must
+// equal QuorumSystem::sample() — the reference draw — on a copy of the
+// cluster's rng taken right after construction, both streams must end at
+// the same position, and exactly the answering members of the drawn
+// quorum must acknowledge or reply. Checked per operation over every
+// construction, with and without faults, at 1 and 8 worker shards.
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +23,6 @@
 #include "quorum/wall.h"
 #include "quorum/weighted.h"
 #include "replica/instant_cluster.h"
-#include "replica/sim_cluster.h"
 #include "util/worker_pool.h"
 
 namespace pqs::replica {
@@ -59,129 +61,95 @@ std::shared_ptr<const QuorumSystem> make_random_subset() {
   return std::make_shared<core::RandomSubsetSystem>(130, 27);
 }
 
-// Everything one operation can reveal, so any divergence between the two
-// paths fails on the op where it appears.
-struct OpRecord {
-  quorum::Quorum quorum;
-  std::uint32_t count = 0;  // acks or replies
-  std::uint64_t timestamp = 0;
-  bool has_value = false;
-  std::int64_t value = 0;
-
-  bool operator==(const OpRecord& o) const {
-    return quorum == o.quorum && count == o.count &&
-           timestamp == o.timestamp && has_value == o.has_value &&
-           value == o.value;
-  }
-};
-
+// One run's quorums op by op next to the oracle's draws for the same ops,
+// how many servers answered each op, and where each stream ends.
 struct Trace {
-  std::vector<OpRecord> ops;
-  std::uint64_t rng_tail = 0;  // next draw from the cluster rng afterwards
-
-  bool operator==(const Trace& o) const {
-    return ops == o.ops && rng_tail == o.rng_tail;
-  }
+  std::vector<quorum::Quorum> drawn;
+  std::vector<quorum::Quorum> oracle;
+  std::vector<std::uint32_t> answered;  // acks or replies
+  std::uint64_t rng_tail = 0;           // next draw from the cluster rng
+  std::uint64_t oracle_tail = 0;        // next draw from the oracle copy
 };
 
 Trace run_instant(const std::shared_ptr<const QuorumSystem>& sys,
-                  DrawPath path, std::uint64_t seed, int pairs,
-                  const FaultPlan* faults) {
+                  std::uint64_t seed, int pairs, const FaultPlan* faults) {
   InstantCluster::Config cfg;
   cfg.quorums = sys;
   cfg.seed = seed;
-  cfg.draw_path = path;
   auto cluster = faults != nullptr
                      ? std::make_unique<InstantCluster>(cfg, *faults)
                      : std::make_unique<InstantCluster>(cfg);
+  // The servers forked their private streams during construction, so the
+  // copy starts exactly where the first quorum draw does.
+  math::Rng oracle = cluster->rng();
   Trace trace;
   WriteResult w;
   ReadResult r;
   for (int i = 0; i < pairs; ++i) {
     cluster->write_into(w, /*variable=*/1 + (i % 3), /*value=*/i);
-    trace.ops.push_back(
-        OpRecord{w.quorum, w.acks, w.timestamp, false, 0});
+    trace.drawn.push_back(w.quorum);
+    trace.oracle.push_back(sys->sample(oracle));
+    trace.answered.push_back(w.acks);
     cluster->read_into(r, 1 + (i % 3));
-    trace.ops.push_back(OpRecord{r.quorum, r.replies, 0,
-                                 r.selection.has_value,
-                                 r.selection.record.value});
+    trace.drawn.push_back(r.quorum);
+    trace.oracle.push_back(sys->sample(oracle));
+    trace.answered.push_back(r.replies);
   }
   trace.rng_tail = cluster->rng().next();
+  trace.oracle_tail = oracle.next();
   return trace;
+}
+
+// Checks a trace op by op: the drawn quorum is the oracle's, and exactly
+// its members that are neither crashed nor suppressing answered.
+void expect_matches_oracle(const Trace& trace, const FaultPlan& plan,
+                           const std::string& where) {
+  ASSERT_EQ(trace.drawn.size(), trace.oracle.size()) << where;
+  for (std::size_t i = 0; i < trace.drawn.size(); ++i) {
+    ASSERT_EQ(trace.drawn[i], trace.oracle[i]) << where << " op=" << i;
+    std::uint32_t answering = 0;
+    for (const auto u : trace.drawn[i]) {
+      const FaultMode mode = plan.mode(u);
+      answering += mode != FaultMode::kCrash && mode != FaultMode::kSuppress;
+    }
+    ASSERT_EQ(trace.answered[i], answering) << where << " op=" << i;
+  }
+  EXPECT_EQ(trace.rng_tail, trace.oracle_tail)
+      << where << " diverged in rng consumption";
 }
 
 class ProtocolDrawEquivalence
     : public ::testing::TestWithParam<SystemFactory> {};
 
-// One shard per seed, both paths, compared op by op — the shards execute
-// concurrently on a worker pool (self-contained state, so scheduling
-// cannot matter) at 1 and 8 shards.
+// One shard per seed — the shards execute concurrently on a worker pool
+// (self-contained state, so scheduling cannot matter) at 1 and 8 shards.
 TEST_P(ProtocolDrawEquivalence, InstantClusterShardsMatch) {
   const auto sys = GetParam()();
+  const FaultPlan all_correct(sys->universe_size());
   for (const std::uint32_t shards : {1u, 8u}) {
-    std::vector<Trace> mask_traces(shards), alloc_traces(shards);
+    std::vector<Trace> traces(shards);
     util::WorkerPool pool(4);
     pool.run(shards, [&](std::uint64_t s) {
-      const std::uint64_t seed = 17 + 1000003 * s;
-      mask_traces[s] =
-          run_instant(sys, DrawPath::kMask, seed, /*pairs=*/40, nullptr);
-      alloc_traces[s] = run_instant(sys, DrawPath::kAllocating, seed,
-                                    /*pairs=*/40, nullptr);
+      traces[s] = run_instant(sys, /*seed=*/17 + 1000003 * s, /*pairs=*/40,
+                              nullptr);
     });
     for (std::uint32_t s = 0; s < shards; ++s) {
-      ASSERT_EQ(mask_traces[s].ops.size(), alloc_traces[s].ops.size());
-      for (std::size_t i = 0; i < mask_traces[s].ops.size(); ++i) {
-        ASSERT_TRUE(mask_traces[s].ops[i] == alloc_traces[s].ops[i])
-            << sys->name() << " shards=" << shards << " shard=" << s
-            << " op=" << i;
-      }
-      EXPECT_EQ(mask_traces[s].rng_tail, alloc_traces[s].rng_tail)
-          << sys->name() << " shard " << s << " diverged in rng consumption";
+      expect_matches_oracle(traces[s], all_correct,
+                            sys->name() + " shards=" + std::to_string(shards) +
+                                " shard=" + std::to_string(s));
     }
   }
 }
 
-// Fault handling must agree too: crashed members answer neither path,
-// forgers consume their private rng identically through serve_read whether
-// reached directly or via process().
+// Faults change who answers, never what is drawn: crashed members stay
+// silent, and the forger consumes only its private rng.
 TEST_P(ProtocolDrawEquivalence, InstantClusterMatchesUnderFaults) {
   const auto sys = GetParam()();
   const std::uint32_t n = sys->universe_size();
   FaultPlan plan = FaultPlan::prefix(n, n / 8, FaultMode::kCrash);
   plan.set_mode(n - 1, FaultMode::kForge);
-  const Trace mask =
-      run_instant(sys, DrawPath::kMask, 23, /*pairs=*/60, &plan);
-  const Trace alloc =
-      run_instant(sys, DrawPath::kAllocating, 23, /*pairs=*/60, &plan);
-  EXPECT_TRUE(mask == alloc) << sys->name();
-}
-
-// The discrete-event Client: same check over the full message-passing
-// stack, where quorum draws come from each client's private stream.
-TEST_P(ProtocolDrawEquivalence, SimClientMatches) {
-  const auto sys = GetParam()();
-  auto run = [&](DrawPath path) {
-    SimCluster::Config cfg;
-    cfg.quorums = sys;
-    cfg.latency = {/*base=*/100, /*jitter_mean=*/40, /*drop_probability=*/0.0};
-    cfg.seed = 5;
-    cfg.draw_path = path;
-    SimCluster cluster(cfg);
-    Trace trace;
-    for (int i = 0; i < 15; ++i) {
-      const auto w = cluster.write_sync(7, i);
-      trace.ops.push_back(
-          OpRecord{w.quorum, w.acks, w.timestamp, w.complete, 0});
-      const auto r = cluster.read_sync(7);
-      trace.ops.push_back(OpRecord{r.quorum, r.replies, 0,
-                                   r.selection.has_value,
-                                   r.selection.record.value});
-    }
-    trace.rng_tail = static_cast<std::uint64_t>(cluster.simulator().now());
-    return trace;
-  };
-  EXPECT_TRUE(run(DrawPath::kMask) == run(DrawPath::kAllocating))
-      << sys->name();
+  expect_matches_oracle(run_instant(sys, 23, /*pairs=*/60, &plan), plan,
+                        sys->name());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConstructions, ProtocolDrawEquivalence,

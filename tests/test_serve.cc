@@ -2,8 +2,8 @@
 //
 // The load-bearing contract is the determinism gate the bench relies on:
 // with a single producer, each shard's aggregate counters are a pure
-// function of the request stream, so they must be bit-identical across
-// shard-serving worker counts and across the mask/allocating draw paths.
+// function of the request stream, so at every shard-serving worker count
+// they must equal the golden values committed below (golden_aggregates.h).
 // The rest pins down routing purity, drain completeness (every submitted
 // request lands in exactly one histogram slot and one aggregate), the
 // stale/empty read accounting against majority quorums (which never read
@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "golden_aggregates.h"
 #include "quorum/threshold.h"
 #include "serve/kv_service.h"
 #include "workload/open_loop.h"
@@ -28,14 +29,12 @@ std::shared_ptr<const quorum::QuorumSystem> majority(std::uint32_t n = 15) {
       quorum::ThresholdSystem::majority(n));
 }
 
-KvService::Config base_config(std::uint32_t shards, std::uint32_t workers,
-                              replica::DrawPath path) {
+KvService::Config base_config(std::uint32_t shards, std::uint32_t workers) {
   KvService::Config cfg;
   cfg.shards = shards;
   cfg.workers = workers;
   cfg.queue_capacity = 256;
   cfg.quorums = majority();
-  cfg.draw_path = path;
   cfg.seed = 77;
   return cfg;
 }
@@ -45,10 +44,9 @@ KvService::Config base_config(std::uint32_t shards, std::uint32_t workers,
 // per-shard aggregates.
 std::vector<ShardAggregate> run_service(std::uint32_t shards,
                                         std::uint32_t workers,
-                                        replica::DrawPath path,
                                         std::uint64_t ops,
                                         std::uint64_t* histogram_count) {
-  KvService service(base_config(shards, workers, path));
+  KvService service(base_config(shards, workers));
   workload::OpenLoopSpec spec;
   spec.keys = 64;
   spec.zipf_exponent = 0.99;
@@ -71,24 +69,42 @@ std::vector<ShardAggregate> run_service(std::uint32_t shards,
   return service.aggregates();
 }
 
-TEST(KvService, AggregatesBitIdenticalAcrossWorkerCountsAndDrawPaths) {
-  constexpr std::uint64_t kOps = 4000;
-  using replica::DrawPath;
-  const auto base = run_service(4, 1, DrawPath::kMask, kOps, nullptr);
-  ASSERT_EQ(base.size(), 4u);
-  // Worker count only changes which thread serves a shard, never what the
-  // shard computes.
-  EXPECT_EQ(base, run_service(4, 2, DrawPath::kMask, kOps, nullptr));
-  EXPECT_EQ(base, run_service(4, 8, DrawPath::kMask, kOps, nullptr));
-  // The allocating draw path consumes the same rng stream per cluster.
-  EXPECT_EQ(base, run_service(4, 2, DrawPath::kAllocating, kOps, nullptr));
+// Golden per-shard aggregates, one row per shard with the fields in
+// PQS_SHARD_AGGREGATE_FIELDS order. They move only with a deliberate
+// change to what the protocol computes, updated in that same change.
+const std::vector<ShardAggregate> kPlainGolden = {
+    {302, 334, 0, 6, 40638, 0, 0, 0, 0, 6, 0, 0, 0},
+    {364, 390, 0, 11, 48057, 0, 0, 0, 0, 11, 0, 0, 0},
+    {1109, 1088, 0, 21, 140759, 0, 0, 0, 0, 21, 0, 0, 0},
+    {197, 216, 0, 22, 26620, 0, 0, 0, 0, 22, 0, 0, 0},
+};
+const std::vector<ShardAggregate> kChurnedGolden = {
+    {231, 263, 0, 6, 31582, 8, 8, 0, 0, 6, 0, 0, 0},
+    {284, 297, 0, 11, 37100, 8, 8, 0, 0, 11, 0, 0, 0},
+    {797, 821, 0, 21, 103621, 7, 7, 0, 0, 21, 0, 0, 0},
+    {148, 159, 0, 22, 19848, 7, 7, 0, 0, 22, 0, 0, 0},
+};
+const std::vector<ShardAggregate> kByzantineChurnGolden = {
+    {231, 263, 0, 6, 31582, 8, 8, 168, 139, 6, 3, 0, 0},
+    {284, 297, 0, 11, 37100, 8, 8, 0, 0, 11, 3, 0, 0},
+    {797, 821, 0, 21, 103621, 7, 7, 535, 412, 21, 3, 0, 0},
+    {148, 159, 0, 22, 19848, 7, 7, 0, 0, 22, 3, 0, 0},
+};
+
+// Worker count only changes which thread serves a shard, never what the
+// shard computes.
+TEST(KvService, AggregatesMatchGoldensAtEveryWorkerCount) {
+  for (const std::uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_TRUE(MatchesGoldens(run_service(4, workers, 4000, nullptr),
+                               kPlainGolden))
+        << "workers=" << workers;
+  }
 }
 
 TEST(KvService, DrainsEveryRequestExactlyOnce) {
   constexpr std::uint64_t kOps = 3000;
   std::uint64_t recorded = 0;
-  const auto aggregates =
-      run_service(3, 2, replica::DrawPath::kMask, kOps, &recorded);
+  const auto aggregates = run_service(3, 2, kOps, &recorded);
   EXPECT_EQ(recorded, kOps);
   ShardAggregate fold;
   for (const auto& a : aggregates) fold += a;
@@ -97,7 +113,7 @@ TEST(KvService, DrainsEveryRequestExactlyOnce) {
 }
 
 TEST(KvService, RoutingIsPureAndCoversEveryShard) {
-  KvService service(base_config(8, 1, replica::DrawPath::kMask));
+  KvService service(base_config(8, 1));
   std::vector<bool> hit(8, false);
   for (std::uint64_t key = 0; key < 2000; ++key) {
     const std::uint32_t shard = service.shard_of(key);
@@ -111,7 +127,7 @@ TEST(KvService, RoutingIsPureAndCoversEveryShard) {
 }
 
 TEST(KvService, MajorityQuorumsReadTheirWritesAcrossRestart) {
-  KvService service(base_config(1, 1, replica::DrawPath::kMask));
+  KvService service(base_config(1, 1));
   Request req;
   req.key = 5;
   req.value = 42;
@@ -139,7 +155,7 @@ TEST(KvService, MajorityQuorumsReadTheirWritesAcrossRestart) {
 }
 
 TEST(KvService, ReadsBeforeAnyWriteCountAsEmptyNeverStale) {
-  KvService service(base_config(2, 1, replica::DrawPath::kMask));
+  KvService service(base_config(2, 1));
   Request req;
   req.is_read = true;
   service.start();
@@ -164,7 +180,7 @@ TEST(KvService, ReadsBeforeAnyWriteCountAsEmptyNeverStale) {
 // (9 + 9 > 17 while the joiner is live, 9 + 8 > 16 after it leaves), so
 // no read is ever stale or empty.
 TEST(KvService, MembershipChangeUnderLoadKeepsReadYourWrites) {
-  KvService::Config cfg = base_config(1, 1, replica::DrawPath::kMask);
+  KvService::Config cfg = base_config(1, 1);
   cfg.quorums = majority(17);
   cfg.dynamic_membership = true;
   cfg.initial_live = 16;  // slot 16 starts dead, ready to join
@@ -207,13 +223,12 @@ TEST(KvService, MembershipChangeUnderLoadKeepsReadYourWrites) {
 
 // The bit-identity contract survives churn: a fixed interleaving of
 // requests and in-band kReplace events (single producer, so every shard's
-// subsequence is fixed) yields identical aggregates — churn_events and
-// final epochs included — across worker counts and draw paths.
-TEST(KvService, ChurnedAggregatesBitIdenticalAcrossWorkersAndPaths) {
+// subsequence is fixed) yields the golden aggregates — churn_events and
+// final epochs included — at every worker count.
+TEST(KvService, ChurnedAggregatesMatchGoldensAtEveryWorkerCount) {
   constexpr std::uint64_t kOps = 3000;
-  using replica::DrawPath;
-  auto run = [&](std::uint32_t workers, DrawPath path) {
-    KvService::Config cfg = base_config(4, workers, path);
+  auto run = [&](std::uint32_t workers) {
+    KvService::Config cfg = base_config(4, workers);
     cfg.dynamic_membership = true;
     KvService service(cfg);
     workload::OpenLoopSpec spec;
@@ -239,22 +254,18 @@ TEST(KvService, ChurnedAggregatesBitIdenticalAcrossWorkersAndPaths) {
     service.stop_and_drain();
     return service.aggregates();
   };
-  const auto base = run(1, DrawPath::kMask);
-  std::uint64_t churned = 0;
-  std::uint64_t epochs = 0;
-  for (const auto& a : base) {
-    churned += a.churn_events;
-    epochs += a.membership_epoch;
+  ShardAggregate fold;
+  for (const auto& a : kChurnedGolden) fold += a;
+  EXPECT_EQ(fold.churn_events, kOps / 100);
+  EXPECT_EQ(fold.membership_epoch, kOps / 100);  // every event bumped one
+  for (const std::uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_TRUE(MatchesGoldens(run(workers), kChurnedGolden))
+        << "workers=" << workers;
   }
-  EXPECT_EQ(churned, kOps / 100);
-  EXPECT_EQ(epochs, kOps / 100);  // every event bumped its shard's epoch
-  EXPECT_EQ(base, run(2, DrawPath::kMask));
-  EXPECT_EQ(base, run(8, DrawPath::kMask));
-  EXPECT_EQ(base, run(2, DrawPath::kAllocating));
 }
 
 TEST(KvService, ResetLatencyClearsHistogramsButKeepsAggregates) {
-  KvService service(base_config(2, 2, replica::DrawPath::kMask));
+  KvService service(base_config(2, 2));
   Request req;
   req.key = 9;
   req.value = 1;
@@ -289,7 +300,7 @@ TEST(KvService, ResetLatencyClearsHistogramsButKeepsAggregates) {
 // exactly-once (served requests in the histogram; churn and fault events
 // in the aggregates only).
 TEST(KvService, ByzantineFaultsUnderChurnKeepReadYourWrites) {
-  KvService::Config cfg = base_config(1, 1, replica::DrawPath::kMask);
+  KvService::Config cfg = base_config(1, 1);
   cfg.quorums = majority(16);  // 9-of-16 over capacity 16
   cfg.dynamic_membership = true;
   cfg.initial_live = 15;  // slot 15 starts dead, ready to join
@@ -343,14 +354,12 @@ TEST(KvService, ByzantineFaultsUnderChurnKeepReadYourWrites) {
 // The bit-identity contract survives Byzantine faults and churn at once:
 // a fixed interleaving of requests, kReplace churn, and forge/heal flips
 // (single producer, so every shard's subsequence is fixed) yields
-// identical per-shard aggregates — forgery rejections, fault events,
-// churn events, and final epochs included — across worker counts and
-// draw paths.
-TEST(KvService, ByzantineChurnAggregatesBitIdenticalAcrossWorkersAndPaths) {
+// the golden per-shard aggregates — forgery rejections, fault events,
+// churn events, and final epochs included — at every worker count.
+TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
   constexpr std::uint64_t kOps = 3000;
-  using replica::DrawPath;
-  auto run = [&](std::uint32_t workers, DrawPath path) {
-    KvService::Config cfg = base_config(4, workers, path);
+  auto run = [&](std::uint32_t workers) {
+    KvService::Config cfg = base_config(4, workers);
     cfg.dynamic_membership = true;
     cfg.read_mode = replica::ReadMode::kDissemination;
     KvService service(cfg);
@@ -385,16 +394,16 @@ TEST(KvService, ByzantineChurnAggregatesBitIdenticalAcrossWorkersAndPaths) {
     service.stop_and_drain();
     return service.aggregates();
   };
-  const auto base = run(1, DrawPath::kMask);
   ShardAggregate fold;
-  for (const auto& a : base) fold += a;
+  for (const auto& a : kByzantineChurnGolden) fold += a;
   EXPECT_EQ(fold.churn_events, kOps / 100);
   EXPECT_EQ(fold.fault_events, kOps / 250);
   EXPECT_GT(fold.rejected_forgeries, 0u);
   EXPECT_EQ(fold.reads + fold.writes, kOps);
-  EXPECT_EQ(base, run(2, DrawPath::kMask));
-  EXPECT_EQ(base, run(8, DrawPath::kMask));
-  EXPECT_EQ(base, run(2, DrawPath::kAllocating));
+  for (const std::uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_TRUE(MatchesGoldens(run(workers), kByzantineChurnGolden))
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace
