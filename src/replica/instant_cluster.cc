@@ -1,5 +1,6 @@
 #include "replica/instant_cluster.h"
 
+#include <cstddef>
 #include <utility>
 
 #include "util/require.h"
@@ -177,15 +178,16 @@ void InstantCluster::read_repair_into(ReadResult& result,
   read_into(result, variable);
   if (!result.selection.has_value) return;
   const crypto::SignedRecord& best = result.selection.record;
-  // O(r^2) scan over the reply scratch, like select_masking: quorums are
-  // O(sqrt n) so this stays cheap and allocation-free.
+  // The quorum and the reply scratch are both in ascending server order
+  // (read_into fills them from one for_each_set_bit walk, and the scratch
+  // skips servers that did not answer), so one lockstep walk pairs each
+  // quorum member with its reply, if any.
+  std::size_t next = 0;
   for (const auto u : result.quorum) {
     bool fresh = false;
-    for (const ReadReply& reply : reply_scratch_) {
-      if (reply.server == u) {
-        fresh = reply.has_value && reply.record.timestamp >= best.timestamp;
-        break;
-      }
+    if (next < reply_scratch_.size() && reply_scratch_[next].server == u) {
+      const ReadReply& reply = reply_scratch_[next++];
+      fresh = reply.has_value && reply.record.timestamp >= best.timestamp;
     }
     if (fresh) continue;
     servers_[u]->apply_write(WriteRequest{0, best});

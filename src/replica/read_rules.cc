@@ -1,6 +1,5 @@
 #include "replica/read_rules.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <tuple>
 
@@ -54,49 +53,68 @@ ReadSelection select_masking(const std::vector<ReadReply>& replies,
                              std::uint32_t k) {
   PQS_REQUIRE(k >= 1, "masking threshold");
   // Group identical records; a record enters V' only with >= k vouchers
-  // (the set C of Definition 5.1's read protocol, step 3). The reply set is
-  // at most quorum-sized, so grouping is an O(r^2) scan over the caller's
-  // vector rather than a heap-allocated map — the selection rules stay
-  // allocation-free on the protocol hot path. Winner: highest timestamp;
-  // timestamp ties break toward the lexicographically smallest
-  // (variable, value, timestamp, writer) tuple, matching the ascending map
-  // iteration this replaces.
+  // (the set C of Definition 5.1's read protocol, step 3). One pass over
+  // the replies files each into its group through an open-addressing
+  // table keyed by the full (variable, value, timestamp, writer) tuple,
+  // sized to a power of two >= 2r so probes stay short at any quorum
+  // size. Groups keep their first reply's index and a vote count; the
+  // table and group list are thread-local scratch, so grouping does not
+  // allocate in steady state. Winner: highest timestamp; timestamp ties
+  // break toward the lexicographically smallest (variable, value,
+  // timestamp, writer) tuple — a total order, so the result does not
+  // depend on the order in which groups were formed.
   // Tags are deliberately ignored: masking handles non-self-verifying
   // data, so agreement among >= k servers is the only evidence.
-  const auto key_of = [](const ReadReply& r) {
-    return std::make_tuple(r.record.variable, r.record.value,
-                           r.record.timestamp, r.record.writer);
+  struct Group {
+    std::uint32_t first;  // index of the first reply carrying the record
+    std::uint32_t count;
   };
-  ReadSelection out;
-  auto best_key = std::make_tuple(VariableId{0}, std::int64_t{0},
-                                  std::uint64_t{0}, std::uint32_t{0});
+  static thread_local std::vector<std::uint32_t> slots;  // group index + 1
+  static thread_local std::vector<Group> groups;
+  std::size_t size = 2;
+  while (size < 2 * replies.size()) size <<= 1;
+  slots.assign(size, 0);
+  groups.clear();
+  const std::size_t mask = size - 1;
+  const auto key_of = [](const crypto::SignedRecord& r) {
+    return std::tie(r.variable, r.value, r.timestamp, r.writer);
+  };
   for (std::size_t i = 0; i < replies.size(); ++i) {
     if (!replies[i].has_value) continue;
-    const auto key = key_of(replies[i]);
-    bool first = true;
-    for (std::size_t j = 0; j < i && first; ++j) {
-      if (replies[j].has_value && key_of(replies[j]) == key) first = false;
+    const crypto::SignedRecord& rec = replies[i].record;
+    std::uint64_t h = rec.variable;
+    h = (h ^ static_cast<std::uint64_t>(rec.value)) * 0x9e3779b97f4a7c15ULL;
+    h = ((h >> 29 | h << 35) ^ rec.timestamp) * 0x9e3779b97f4a7c15ULL;
+    h = ((h >> 29 | h << 35) ^ rec.writer) * 0x9e3779b97f4a7c15ULL;
+    std::size_t slot = static_cast<std::size_t>(h >> 32) & mask;
+    while (true) {
+      const std::uint32_t g = slots[slot];
+      if (g == 0) {
+        groups.push_back({static_cast<std::uint32_t>(i), 1});
+        slots[slot] = static_cast<std::uint32_t>(groups.size());
+        break;
+      }
+      if (key_of(replies[groups[g - 1].first].record) == key_of(rec)) {
+        ++groups[g - 1].count;
+        break;
+      }
+      slot = (slot + 1) & mask;
     }
-    if (!first) continue;  // this record's votes were already counted
-    std::uint32_t count = 0;
-    for (std::size_t j = i; j < replies.size(); ++j) {
-      if (replies[j].has_value && key_of(replies[j]) == key) ++count;
-    }
-    if (count < k) {
-      out.rejected += count;  // sub-threshold group: all its votes refused
+  }
+  ReadSelection out;
+  for (const Group& group : groups) {
+    if (group.count < k) {
+      out.rejected += group.count;  // sub-threshold: all its votes refused
       continue;
     }
-    const auto timestamp = std::get<2>(key);
-    if (!out.has_value || timestamp > out.record.timestamp ||
-        (timestamp == out.record.timestamp && key < best_key)) {
+    const crypto::SignedRecord& rec = replies[group.first].record;
+    if (!out.has_value || rec.timestamp > out.record.timestamp ||
+        (rec.timestamp == out.record.timestamp &&
+         key_of(rec) < key_of(out.record))) {
       out.has_value = true;
-      out.record.variable = std::get<0>(key);
-      out.record.value = std::get<1>(key);
-      out.record.timestamp = timestamp;
-      out.record.writer = std::get<3>(key);
+      out.record = rec;
       out.record.tag = 0;
-      out.vouchers = count;
-      best_key = key;
+      out.vouchers = group.count;
     }
   }
   return out;

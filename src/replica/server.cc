@@ -69,11 +69,10 @@ bool Server::apply_write(const WriteRequest& w) {
     case FaultMode::kStaleReplay:
     case FaultMode::kForge:
     case FaultMode::kCollude:
-      // Pretends to accept (acks) but does not durably adopt; it keeps the
-      // record only in first_store_ so stale replay has something genuine.
-      if (first_store_.count(w.record.variable) == 0) {
-        first_store_.emplace(w.record.variable, w.record);
-      }
+      // Pretends to accept (acks) but does not durably adopt; it keeps only
+      // the first record per variable, so stale replay has something
+      // genuine.
+      entry_for(w.record);
       return true;
     case FaultMode::kCrash:
       break;
@@ -97,10 +96,9 @@ bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
     case FaultMode::kSuppress:
       return false;
     case FaultMode::kStaleReplay: {
-      const auto it = first_store_.find(r.variable);
-      if (it != first_store_.end()) {
+      if (const Entry* entry = lookup(r.variable)) {
         reply.has_value = true;
-        reply.record = it->second;  // genuine tag, stale timestamp
+        reply.record = entry->first;  // genuine tag, stale timestamp
       }
       return true;
     }
@@ -124,26 +122,64 @@ bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
   return false;
 }
 
+std::size_t Server::probe(VariableId variable) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot =
+      static_cast<std::size_t>((variable * 0x9e3779b97f4a7c15ULL) >> 32) &
+      mask;
+  while (slots_[slot] != 0 &&
+         entries_[slots_[slot] - 1].first.variable != variable) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+const Server::Entry* Server::lookup(VariableId variable) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint32_t index = slots_[probe(variable)];
+  return index == 0 ? nullptr : &entries_[index - 1];
+}
+
+Server::Entry& Server::entry_for(const crypto::SignedRecord& record) {
+  if (!slots_.empty()) {
+    const std::uint32_t index = slots_[probe(record.variable)];
+    if (index != 0) return entries_[index - 1];
+  }
+  if (2 * (entries_.size() + 1) > slots_.size()) {
+    // Keep the table at most half full: double it and re-index.
+    slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      slots_[probe(entries_[i].first.variable)] =
+          static_cast<std::uint32_t>(i + 1);
+    }
+  }
+  slots_[probe(record.variable)] =
+      static_cast<std::uint32_t>(entries_.size() + 1);
+  entries_.push_back({crypto::SignedRecord{}, record, false});
+  return entries_.back();
+}
+
 const crypto::SignedRecord* Server::find(VariableId variable) const {
-  const auto it = store_.find(variable);
-  return it == store_.end() ? nullptr : &it->second;
+  const Entry* entry = lookup(variable);
+  return entry != nullptr && entry->has_current ? &entry->current : nullptr;
 }
 
 bool Server::adopt(const crypto::SignedRecord& record) {
-  first_store_.try_emplace(record.variable, record);
-  auto [it, inserted] = store_.try_emplace(record.variable, record);
-  if (inserted) return true;
-  if (record.timestamp > it->second.timestamp) {
-    it->second = record;
-    return true;
+  Entry& entry = entry_for(record);
+  if (entry.has_current && record.timestamp <= entry.current.timestamp) {
+    return false;
   }
-  return false;
+  entry.current = record;
+  entry.has_current = true;
+  return true;
 }
 
 std::vector<crypto::SignedRecord> Server::snapshot() const {
   std::vector<crypto::SignedRecord> out;
-  out.reserve(store_.size());
-  for (const auto& [var, rec] : store_) out.push_back(rec);
+  out.reserve(entries_.size());
+  for (const Entry& entry : entries_) {
+    if (entry.has_current) out.push_back(entry.current);
+  }
   return out;
 }
 
@@ -162,15 +198,15 @@ std::vector<crypto::SignedRecord> Server::gossip_records() {
       return snapshot();
     case FaultMode::kStaleReplay: {
       std::vector<crypto::SignedRecord> out;
-      out.reserve(first_store_.size());
-      for (const auto& [var, rec] : first_store_) out.push_back(rec);
+      out.reserve(entries_.size());
+      for (const Entry& entry : entries_) out.push_back(entry.first);
       return out;
     }
     case FaultMode::kForge: {
       std::vector<crypto::SignedRecord> out;
-      for (const auto& [var, rec] : first_store_) {
+      for (const Entry& entry : entries_) {
         crypto::SignedRecord fake;
-        fake.variable = var;
+        fake.variable = entry.first.variable;
         fake.value = static_cast<std::int64_t>(rng_.next() >> 1);
         fake.timestamp = (~0ULL >> 8) - rng_.below(1024);
         fake.writer = 0;
@@ -181,8 +217,8 @@ std::vector<crypto::SignedRecord> Server::gossip_records() {
     }
     case FaultMode::kCollude: {
       std::vector<crypto::SignedRecord> out;
-      for (const auto& [var, rec] : first_store_) {
-        out.push_back(collude_plan_->forged(var));
+      for (const Entry& entry : entries_) {
+        out.push_back(collude_plan_->forged(entry.first.variable));
       }
       return out;
     }

@@ -10,10 +10,10 @@
 // Fault behaviour is injected via FaultMode (see fault.h).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "math/rng.h"
@@ -60,6 +60,8 @@ class Server {
 
   // Current record for a variable (nullptr if none). Test/analysis access;
   // reflects the server's true state regardless of its advertised lies.
+  // The pointer stays valid until the server next stores a variable it
+  // has not seen before.
   const crypto::SignedRecord* find(VariableId variable) const;
 
   // Gossip-path adoption: installs the record if it is newer than what is
@@ -67,12 +69,14 @@ class Server {
   // Returns true if the record was adopted.
   bool adopt(const crypto::SignedRecord& record);
 
-  // All records currently stored (for anti-entropy exchange).
+  // All records currently stored (for anti-entropy exchange), in the
+  // order their variables were first seen.
   std::vector<crypto::SignedRecord> snapshot() const;
 
   // What this server pushes during a gossip round — honest state for
   // correct servers, stale or fabricated records for Byzantine ones,
-  // nothing for crashed/suppressing servers.
+  // nothing for crashed/suppressing servers. Variables come in first-seen
+  // order, as in snapshot().
   std::vector<crypto::SignedRecord> gossip_records();
 
   // When set, gossip adoption verifies the writer MAC first (the
@@ -115,15 +119,38 @@ class Server {
   void handle_read(std::uint32_t from, const ReadRequest& r,
                    std::vector<Outbound>& out);
 
+  // The record store: one entry per variable the server has ever accepted
+  // a write or gossip record for. `first` is the first record accepted
+  // (what kStaleReplay serves); `current` is the highest-timestamped
+  // record adopted, valid only when has_current. A Byzantine server acks
+  // writes without adopting them, so it records `first` alone — and keeps
+  // no current record after it heals until its first adopt.
+  struct Entry {
+    crypto::SignedRecord current;
+    crypto::SignedRecord first;
+    bool has_current = false;
+  };
+  // The entry for `variable`, or nullptr.
+  const Entry* lookup(VariableId variable) const;
+  // The entry for record.variable, appended with first = record when the
+  // variable is new.
+  Entry& entry_for(const crypto::SignedRecord& record);
+  // Index of the slot holding `variable`'s entry, or of the empty slot
+  // where it would go. slots_ must be non-empty.
+  std::size_t probe(VariableId variable) const;
+
   std::uint32_t id_;
   FaultMode mode_;
   math::Rng rng_;
   std::shared_ptr<const ColludePlan> collude_plan_;
   std::optional<crypto::Verifier> gossip_verifier_;
   quorum::MembershipView membership_;
-  std::unordered_map<VariableId, crypto::SignedRecord> store_;
-  // First record ever accepted per variable; what kStaleReplay serves.
-  std::unordered_map<VariableId, crypto::SignedRecord> first_store_;
+  // Entries in first-seen order, so snapshot() and gossip_records() list
+  // variables in an order that does not depend on the standard library.
+  std::vector<Entry> entries_;
+  // Open-addressing index over entries_ (linear probing, power-of-two
+  // size, at most half full): 0 marks an empty slot, i + 1 entry i.
+  std::vector<std::uint32_t> slots_;
   std::uint64_t writes_accepted_ = 0;
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_superseded_ = 0;

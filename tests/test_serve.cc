@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "core/random_subset_system.h"
 #include "golden_aggregates.h"
 #include "quorum/threshold.h"
 #include "serve/kv_service.h"
@@ -39,14 +41,16 @@ KvService::Config base_config(std::uint32_t shards, std::uint32_t workers) {
   return cfg;
 }
 
-// Drives `ops` generator operations through a fresh service from this one
-// thread (the single-producer determinism precondition) and returns the
-// per-shard aggregates.
-std::vector<ShardAggregate> run_service(std::uint32_t shards,
-                                        std::uint32_t workers,
-                                        std::uint64_t ops,
-                                        std::uint64_t* histogram_count) {
-  KvService service(base_config(shards, workers));
+// Drives `ops` generator operations through a fresh service built from
+// `cfg`, from this one thread (the single-producer determinism
+// precondition), and returns the per-shard aggregates. `after(service, i)`
+// runs after the i-th request is submitted, so a test can interleave
+// in-band churn and fault requests at fixed positions.
+std::vector<ShardAggregate> run_service(
+    const KvService::Config& cfg, std::uint64_t ops,
+    const std::function<void(KvService&, std::uint64_t)>& after = {},
+    std::uint64_t* histogram_count = nullptr) {
+  KvService service(cfg);
   workload::OpenLoopSpec spec;
   spec.keys = 64;
   spec.zipf_exponent = 0.99;
@@ -61,6 +65,7 @@ std::vector<ShardAggregate> run_service(std::uint32_t shards,
     req.scheduled_ns = service.now_ns();
     req.is_read = op.is_read;
     service.submit(req);
+    if (after) after(service, i);
   }
   service.stop_and_drain();
   if (histogram_count != nullptr) {
@@ -90,12 +95,18 @@ const std::vector<ShardAggregate> kByzantineChurnGolden = {
     {797, 821, 0, 21, 103621, 7, 7, 535, 412, 21, 3, 0, 0},
     {148, 159, 0, 22, 19848, 7, 7, 0, 0, 22, 3, 0, 0},
 };
+const std::vector<ShardAggregate> kMaskingGolden = {
+    {302, 334, 0, 6, 1284527, 0, 0, 4234, 288, 6, 7, 0, 0},
+    {364, 390, 0, 11, 1521921, 0, 0, 5171, 350, 11, 7, 0, 0},
+    {1109, 1088, 0, 21, 4442289, 0, 0, 15953, 1079, 21, 6, 0, 0},
+    {197, 216, 0, 22, 831816, 0, 0, 2407, 168, 22, 6, 0, 0},
+};
 
 // Worker count only changes which thread serves a shard, never what the
 // shard computes.
 TEST(KvService, AggregatesMatchGoldensAtEveryWorkerCount) {
   for (const std::uint32_t workers : {1u, 2u, 8u}) {
-    EXPECT_TRUE(MatchesGoldens(run_service(4, workers, 4000, nullptr),
+    EXPECT_TRUE(MatchesGoldens(run_service(base_config(4, workers), 4000),
                                kPlainGolden))
         << "workers=" << workers;
   }
@@ -104,7 +115,7 @@ TEST(KvService, AggregatesMatchGoldensAtEveryWorkerCount) {
 TEST(KvService, DrainsEveryRequestExactlyOnce) {
   constexpr std::uint64_t kOps = 3000;
   std::uint64_t recorded = 0;
-  const auto aggregates = run_service(3, 2, kOps, &recorded);
+  const auto aggregates = run_service(base_config(3, 2), kOps, {}, &recorded);
   EXPECT_EQ(recorded, kOps);
   ShardAggregate fold;
   for (const auto& a : aggregates) fold += a;
@@ -230,29 +241,13 @@ TEST(KvService, ChurnedAggregatesMatchGoldensAtEveryWorkerCount) {
   auto run = [&](std::uint32_t workers) {
     KvService::Config cfg = base_config(4, workers);
     cfg.dynamic_membership = true;
-    KvService service(cfg);
-    workload::OpenLoopSpec spec;
-    spec.keys = 64;
-    spec.zipf_exponent = 0.99;
-    workload::OpenLoopGenerator gen(spec, 123);
-    workload::Operation op;
-    Request req;
-    service.start();
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      gen.next(op);
-      req.key = op.key;
-      req.value = op.value;
-      req.scheduled_ns = service.now_ns();
-      req.is_read = op.is_read;
-      service.submit(req);
-      // One replacement on a rotating shard every 100 requests.
+    // One replacement on a rotating shard every 100 requests.
+    return run_service(cfg, kOps, [](KvService& service, std::uint64_t i) {
       if (i % 100 == 99) {
         service.submit_churn(static_cast<std::uint32_t>((i / 100) % 4),
                              ChurnKind::kReplace);
       }
-    }
-    service.stop_and_drain();
-    return service.aggregates();
+    });
   };
   ShardAggregate fold;
   for (const auto& a : kChurnedGolden) fold += a;
@@ -362,21 +357,7 @@ TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
     KvService::Config cfg = base_config(4, workers);
     cfg.dynamic_membership = true;
     cfg.read_mode = replica::ReadMode::kDissemination;
-    KvService service(cfg);
-    workload::OpenLoopSpec spec;
-    spec.keys = 64;
-    spec.zipf_exponent = 0.99;
-    workload::OpenLoopGenerator gen(spec, 123);
-    workload::Operation op;
-    Request req;
-    service.start();
-    for (std::uint64_t i = 0; i < kOps; ++i) {
-      gen.next(op);
-      req.key = op.key;
-      req.value = op.value;
-      req.scheduled_ns = service.now_ns();
-      req.is_read = op.is_read;
-      service.submit(req);
+    return run_service(cfg, kOps, [](KvService& service, std::uint64_t i) {
       // One replacement on a rotating shard every 100 requests...
       if (i % 100 == 99) {
         service.submit_churn(static_cast<std::uint32_t>((i / 100) % 4),
@@ -390,9 +371,7 @@ TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
                                              : FaultKind::kCorrect,
                              flip % 3);
       }
-    }
-    service.stop_and_drain();
-    return service.aggregates();
+    });
   };
   ShardAggregate fold;
   for (const auto& a : kByzantineChurnGolden) fold += a;
@@ -402,6 +381,48 @@ TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
   EXPECT_EQ(fold.reads + fold.writes, kOps);
   for (const std::uint32_t workers : {1u, 2u, 8u}) {
     EXPECT_TRUE(MatchesGoldens(run(workers), kByzantineChurnGolden))
+        << "workers=" << workers;
+  }
+}
+
+// ---- Masking reads under collusion and live fault flips -------------------
+
+// Section 5's deployment: R(100, 40), masking reads with k = 8 and four
+// colluding servers, under a Zipf stream while in-band flips rotate five
+// slots (two colluders, three correct servers) through stale replay,
+// forgery and healing. Sub-threshold voucher groups, ⊥ reads, a healed
+// colluder that holds no current record yet, and stale replay of
+// first-ever records all feed the aggregate, which must equal the golden
+// at every worker count.
+TEST(KvService, MaskingAggregatesMatchGoldensAtEveryWorkerCount) {
+  constexpr std::uint64_t kOps = 4000;
+  static constexpr FaultKind kFlipCycle[] = {
+      FaultKind::kStaleReplay, FaultKind::kForge, FaultKind::kCorrect};
+  auto run = [&](std::uint32_t workers) {
+    KvService::Config cfg = base_config(4, workers);
+    cfg.quorums = std::make_shared<core::RandomSubsetSystem>(100, 40);
+    cfg.read_mode = replica::ReadMode::kMasking;
+    cfg.read_threshold = 8;
+    cfg.faults =
+        replica::FaultPlan::prefix(100, 4, replica::FaultMode::kCollude);
+    // Every 150 requests, slot 2 + flip % 5 on a rotating shard moves one
+    // step along stale replay -> forge -> correct.
+    return run_service(cfg, kOps, [](KvService& service, std::uint64_t i) {
+      if (i % 150 == 149) {
+        const auto flip = i / 150;
+        service.submit_fault(static_cast<std::uint32_t>(flip % 4),
+                             kFlipCycle[(flip / 5) % 3], 2 + flip % 5);
+      }
+    });
+  };
+  ShardAggregate fold;
+  for (const auto& a : kMaskingGolden) fold += a;
+  EXPECT_EQ(fold.reads + fold.writes, kOps);
+  EXPECT_EQ(fold.fault_events, kOps / 150);
+  EXPECT_GT(fold.rejected_forgeries, 0u);
+  EXPECT_GT(fold.masked_reads, 0u);
+  for (const std::uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_TRUE(MatchesGoldens(run(workers), kMaskingGolden))
         << "workers=" << workers;
   }
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "crypto/mac.h"
 #include "math/rng.h"
 #include "replica/read_rules.h"
@@ -155,6 +160,100 @@ TEST(Server, GossipRecordsPerMode) {
   }
 }
 
+// ---- The record store -------------------------------------------------------
+
+ReadReply read_of(Server& server, VariableId variable) {
+  ReadReply reply;
+  EXPECT_TRUE(server.serve_read(ReadRequest{1, variable}, reply));
+  return reply;
+}
+
+TEST(ServerStore, HealedColluderHoldsNoCurrentRecordUntilItsFirstAdopt) {
+  auto server = make_server(0, FaultMode::kCollude);
+  const auto signer = test_signer();
+  EXPECT_TRUE(server.apply_write(WriteRequest{1, signer.sign(1, 10, 100, 1)}));
+  EXPECT_EQ(server.find(1), nullptr);  // acked, never adopted
+  server.set_mode(FaultMode::kCorrect);
+  EXPECT_EQ(server.find(1), nullptr);
+  EXPECT_FALSE(read_of(server, 1).has_value);
+  EXPECT_TRUE(server.snapshot().empty());
+  // The first adopt installs a current record, even one older than the
+  // record the colluder acked.
+  EXPECT_TRUE(server.apply_write(WriteRequest{2, signer.sign(1, 5, 50, 1)}));
+  ASSERT_NE(server.find(1), nullptr);
+  EXPECT_EQ(server.find(1)->value, 5);
+  EXPECT_EQ(read_of(server, 1).record.value, 5);
+}
+
+TEST(ServerStore, CorrectServerTurnedStaleReplayServesItsFirstRecord) {
+  auto server = make_server(0, FaultMode::kCorrect);
+  const auto signer = test_signer();
+  const auto first = signer.sign(1, 10, 100, 1);
+  server.apply_write(WriteRequest{1, first});
+  server.apply_write(WriteRequest{2, signer.sign(1, 20, 200, 1)});
+  EXPECT_EQ(read_of(server, 1).record.value, 20);
+  server.set_mode(FaultMode::kStaleReplay);
+  const ReadReply stale = read_of(server, 1);
+  ASSERT_TRUE(stale.has_value);
+  EXPECT_EQ(stale.record, first);
+  EXPECT_FALSE(read_of(server, 2).has_value);  // never seen
+  EXPECT_EQ(server.find(1)->value, 20);  // true state unchanged
+}
+
+TEST(ServerStore, SnapshotListsAdoptedRecordsInFirstSeenOrder) {
+  auto server = make_server(0, FaultMode::kStaleReplay);
+  const auto signer = test_signer();
+  // Seen, not adopted, while Byzantine: variables 5 then 3.
+  server.apply_write(WriteRequest{1, signer.sign(5, 50, 10, 1)});
+  server.apply_write(WriteRequest{2, signer.sign(3, 30, 10, 1)});
+  server.set_mode(FaultMode::kCorrect);
+  // Adopted in the order 9, 3, 1.
+  const auto r9 = signer.sign(9, 90, 20, 1);
+  const auto r3 = signer.sign(3, 31, 20, 1);
+  const auto r1 = signer.sign(1, 10, 20, 1);
+  for (const auto& rec : {r9, r3, r1}) {
+    server.apply_write(WriteRequest{3, rec});
+  }
+  // Only adopted records; variable 3 first, as it was seen first.
+  EXPECT_EQ(server.snapshot(),
+            (std::vector<crypto::SignedRecord>{r3, r9, r1}));
+  EXPECT_EQ(server.gossip_records(), server.snapshot());
+  // Stale replay gossips every first record, in the same order.
+  server.set_mode(FaultMode::kStaleReplay);
+  const auto firsts = server.gossip_records();
+  ASSERT_EQ(firsts.size(), 4u);
+  const std::vector<VariableId> order{5, 3, 9, 1};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(firsts[i].variable, order[i]);
+  }
+  EXPECT_EQ(firsts[1].value, 30);
+}
+
+TEST(ServerStore, EveryFindHitsAfterTheTableGrows) {
+  auto server = make_server(0, FaultMode::kCorrect);
+  const auto signer = test_signer();
+  constexpr std::uint64_t kVariables = 5000;
+  // Scattered ids, including ones that share their low bits.
+  const auto variable_of = [](std::uint64_t i) {
+    return i * 0x100000001ULL + (i % 7) * 4096;
+  };
+  for (std::uint64_t i = 0; i < kVariables; ++i) {
+    ASSERT_TRUE(server.adopt(signer.sign(variable_of(i),
+                                         static_cast<std::int64_t>(i), 1, 1)));
+  }
+  for (std::uint64_t i = 0; i < kVariables; ++i) {
+    const auto* rec = server.find(variable_of(i));
+    ASSERT_NE(rec, nullptr) << "variable " << variable_of(i);
+    EXPECT_EQ(rec->value, static_cast<std::int64_t>(i));
+  }
+  EXPECT_EQ(server.find(variable_of(kVariables)), nullptr);
+  const auto records = server.snapshot();
+  ASSERT_EQ(records.size(), kVariables);
+  for (std::uint64_t i = 0; i < kVariables; ++i) {
+    EXPECT_EQ(records[i].variable, variable_of(i));
+  }
+}
+
 // ---- Read-selection rules ---------------------------------------------------
 
 std::vector<ReadReply> replies_from(
@@ -272,6 +371,114 @@ TEST(ReadRules, MaskingOverwhelmedByKColluders) {
   const auto sel = select_masking(replies_from(records), 3);
   ASSERT_TRUE(sel.has_value);
   EXPECT_EQ(sel.record.value, plan.forged(1).value);
+}
+
+// The O(r^2) pairwise scan select_masking used before it grouped replies
+// in one pass, kept verbatim as the reference the grouping must match.
+ReadSelection reference_select_masking(const std::vector<ReadReply>& replies,
+                                       std::uint32_t k) {
+  const auto key_of = [](const ReadReply& r) {
+    return std::make_tuple(r.record.variable, r.record.value,
+                           r.record.timestamp, r.record.writer);
+  };
+  ReadSelection out;
+  auto best_key = std::make_tuple(VariableId{0}, std::int64_t{0},
+                                  std::uint64_t{0}, std::uint32_t{0});
+  for (std::size_t i = 0; i < replies.size(); ++i) {
+    if (!replies[i].has_value) continue;
+    const auto key = key_of(replies[i]);
+    bool first = true;
+    for (std::size_t j = 0; j < i && first; ++j) {
+      if (replies[j].has_value && key_of(replies[j]) == key) first = false;
+    }
+    if (!first) continue;  // this record's votes were already counted
+    std::uint32_t count = 0;
+    for (std::size_t j = i; j < replies.size(); ++j) {
+      if (replies[j].has_value && key_of(replies[j]) == key) ++count;
+    }
+    if (count < k) {
+      out.rejected += count;  // sub-threshold group: all its votes refused
+      continue;
+    }
+    const auto timestamp = std::get<2>(key);
+    if (!out.has_value || timestamp > out.record.timestamp ||
+        (timestamp == out.record.timestamp && key < best_key)) {
+      out.has_value = true;
+      out.record.variable = std::get<0>(key);
+      out.record.value = std::get<1>(key);
+      out.record.timestamp = timestamp;
+      out.record.writer = std::get<3>(key);
+      out.record.tag = 0;
+      out.vouchers = count;
+      best_key = key;
+    }
+  }
+  return out;
+}
+
+// Random reply sets over small field domains, so groups of every size,
+// equal-timestamp ties across values, writers and variables, tags that
+// differ within a group, and has_value = false replies carrying junk
+// fields all occur; every fourth set is all-distinct, in one field at a
+// time. Sizes reach 200
+// replies, so the grouping table grows well past its smallest size.
+TEST(ReadRules, MaskingMatchesThePairwiseReference) {
+  math::Rng rng(0x5e1ec7);
+  std::uint64_t compared = 0, chosen = 0;
+  for (std::uint32_t set = 0; set < 400; ++set) {
+    const auto r = static_cast<std::uint32_t>(
+        set < 8 ? set : rng.below(201));
+    const bool all_distinct = set % 4 == 3;
+    const auto distinct = static_cast<std::uint32_t>(1 + rng.below(12));
+    std::vector<crypto::SignedRecord> pool(distinct);
+    for (auto& rec : pool) {
+      rec.variable = 1 + rng.below(2);
+      rec.value = static_cast<std::int64_t>(rng.below(4)) - 2;
+      rec.timestamp = rng.below(3);
+      rec.writer = static_cast<std::uint32_t>(rng.below(2));
+    }
+    std::vector<ReadReply> replies(r);
+    for (std::uint32_t i = 0; i < r; ++i) {
+      ReadReply& reply = replies[i];
+      reply.server = i;
+      reply.has_value = rng.below(8) != 0;
+      if (all_distinct) {
+        // Distinct in one field only, so grouping that ignored the field
+        // would merge records.
+        reply.record = pool[0];
+        switch ((set / 4) % 4) {
+          case 0: reply.record.variable = i; break;
+          case 1: reply.record.value = i; break;
+          case 2: reply.record.timestamp = i; break;
+          default: reply.record.writer = i; break;
+        }
+      } else {
+        reply.record = pool[rng.below(distinct)];
+      }
+      reply.record.tag = rng.next();
+    }
+    // Every k for small sets; for larger ones, the ends of the range and
+    // an even spread in between.
+    const std::uint32_t stride = r <= 40 ? 1 : r / 16;
+    std::vector<std::uint32_t> ks;
+    for (std::uint32_t k = 1; k <= r + 1; k += stride) ks.push_back(k);
+    ks.push_back(r);
+    ks.push_back(r + 1);
+    for (const std::uint32_t k : ks) {
+      if (k == 0) continue;
+      const ReadSelection want = reference_select_masking(replies, k);
+      const ReadSelection got = select_masking(replies, k);
+      ASSERT_EQ(got.has_value, want.has_value) << "set " << set << " k " << k;
+      ASSERT_EQ(got.record, want.record) << "set " << set << " k " << k;
+      ASSERT_EQ(got.vouchers, want.vouchers) << "set " << set << " k " << k;
+      ASSERT_EQ(got.rejected, want.rejected) << "set " << set << " k " << k;
+      ++compared;
+      chosen += want.has_value ? 1 : 0;
+    }
+  }
+  // Both outcomes were exercised, many times over.
+  EXPECT_GT(chosen, 1000u);
+  EXPECT_GT(compared - chosen, 1000u);
 }
 
 TEST(ReadRules, DispatchMatchesSpecificSelectors) {
