@@ -43,38 +43,29 @@
 //     zero: the bench asserts zero fabrications outright. The batched
 //     Monte Carlo estimator (core::estimate_fabrication_epsilon) runs
 //     alongside and must bracket the closed form in its Wilson interval.
-//     A fixed-schedule replay at the timed thread count and at 8 threads,
-//     against a serial reference, gates bit-identity of the measurement
-//     itself.
+//     A fixed-schedule replay at the timed thread count, 1 and 8 threads
+//     gates bit-identity of the measurement itself.
+//
+// Every check is a named gate in the report: replay.<section>,
+// honest.<section>, rejects.<section>, and per population b
+// mc_bracket.b<b>, fabricated.b<b>, failed.b<b>, then replay.epsilon.
 //
 // Flags: --threads=N (shard-serving workers for the timed runs, 0 =
 // hardware), --samples=N (requests per section and pairs per epsilon
 // shard; default 30000), --json=PATH (machine-readable report — CI
 // archives it as BENCH_byzantine.json and gates it with
-// bench/check_byzantine_regression.py).
-#include <algorithm>
-#include <chrono>
+// bench/check_regression.py against bench/byzantine_baseline.json).
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/epsilon.h"
 #include "core/monte_carlo.h"
 #include "core/random_subset_system.h"
-#include "math/chernoff.h"
 #include "math/rng.h"
-#include "replica/fault.h"
-#include "replica/instant_cluster.h"
-#include "serve/kv_service.h"
-#include "simd/kernels.h"
-#include "stats/latency_histogram.h"
-#include "util/worker_pool.h"
-#include "workload/open_loop.h"
 
 namespace pqs {
 namespace {
@@ -131,96 +122,33 @@ std::vector<SectionSpec> make_sections(std::uint64_t ops) {
   return sections;
 }
 
-struct RunOutcome {
-  std::vector<serve::ShardAggregate> aggregates;  // the bit-identity payload
-  serve::ShardAggregate fold;
-  stats::LatencyHistogram histogram;
-  double seconds = 0.0;
-  bool drained_all = false;
-};
-
-// One complete run: a single producer drives the service with the same
-// generated stream every time; fault flips are interleaved at fixed
-// request indices, so each shard's subsequence of requests and flips is
-// a pure function of (ops, seed, script) — the determinism precondition.
-RunOutcome drive(const std::shared_ptr<const quorum::QuorumSystem>& sys,
-                 const SectionSpec& section, std::uint32_t workers,
-                 std::uint64_t ops, std::uint64_t seed) {
-  serve::KvService::Config cfg;
-  cfg.shards = kShards;
-  cfg.workers = workers;
-  cfg.quorums = sys;
-  cfg.seed = seed;
-  cfg.read_mode = section.mode;
-  cfg.read_threshold = section.mode == ReadMode::kMasking ? masking_k() : 1;
-  serve::KvService service(cfg);
-
-  workload::OpenLoopSpec spec;
-  spec.keys = kKeys;
-  spec.zipf_exponent = 0.99;
-  spec.read_fraction = 0.5;
-  workload::OpenLoopGenerator gen(spec, seed ^ 0xa02bdbf7bb3c0a7ULL);
-
-  const FaultScript& script = section.faults;
-  workload::Operation op;
-  serve::Request req;
-  const auto t0 = std::chrono::steady_clock::now();
-  service.start();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    gen.next(op);
-    req.key = op.key;
-    req.value = op.value;
-    req.scheduled_ns = service.now_ns();
-    req.is_read = op.is_read;
-    service.submit(req);
-    if (script.inject_at != 0 && i + 1 == script.inject_at) {
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        for (std::uint32_t slot = 0; slot < script.colluders; ++slot) {
-          service.submit_fault(s, serve::FaultKind::kCollude, slot);
-        }
+// The producer's hook: the script's flips ride the shard rings at fixed
+// stream positions, exactly like churn events.
+void inject_faults(const FaultScript& script, serve::KvService& service,
+                   std::uint64_t i) {
+  const auto flip_all = [&](serve::FaultKind kind) {
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      for (std::uint32_t slot = 0; slot < script.colluders; ++slot) {
+        service.submit_fault(s, kind, slot);
       }
     }
-    if (script.heal_at != 0 && i + 1 == script.heal_at) {
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        for (std::uint32_t slot = 0; slot < script.colluders; ++slot) {
-          service.submit_fault(s, serve::FaultKind::kCorrect, slot);
-        }
-      }
-    }
+  };
+  if (script.inject_at != 0 && i + 1 == script.inject_at) {
+    flip_all(serve::FaultKind::kCollude);
   }
-  service.stop_and_drain();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunOutcome out;
-  out.aggregates = service.aggregates();
-  out.fold = service.fold_aggregates();
-  out.histogram = service.merged_histogram();
-  out.seconds = std::chrono::duration<double>(t1 - t0).count();
-  out.drained_all = out.histogram.count() == ops &&
-                    out.fold.reads + out.fold.writes == ops &&
-                    out.fold.fault_events == script.expected_events();
-  return out;
+  if (script.heal_at != 0 && i + 1 == script.heal_at) {
+    flip_all(serve::FaultKind::kCorrect);
+  }
 }
 
 // ---- fabrication-epsilon sweep --------------------------------------------
 
-struct ByzantineRun {
-  std::uint64_t pairs = 0;
-  std::uint64_t fabricated = 0;  // read returned the colluders' forgery
-  std::uint64_t failures = 0;    // read != the value just written (or bot)
-
-  bool operator==(const ByzantineRun& o) const {
-    return pairs == o.pairs && fabricated == o.fabricated &&
-           failures == o.failures;
-  }
-};
-
 // One shard of the epsilon measurement: write/read pairs under masking
 // against a cluster whose first b servers collude on the shared forged
-// record. Fabricated iff the selection is the forged value; failed iff
-// the selection is anything but the value just written.
-ByzantineRun byzantine_shard(std::uint32_t b, std::uint64_t pairs,
-                             std::uint64_t seed) {
+// record. Fabricated iff the selection is the forged value; failed (stale)
+// iff the selection is anything but the value just written.
+bench::PairCounts byzantine_shard(std::uint32_t b, std::uint64_t pairs,
+                                  std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
   cfg.mode = ReadMode::kMasking;
@@ -228,229 +156,79 @@ ByzantineRun byzantine_shard(std::uint32_t b, std::uint64_t pairs,
   cfg.seed = seed;
   replica::InstantCluster cluster(
       cfg, replica::FaultPlan::prefix(kUniverse, b, replica::FaultMode::kCollude));
-  const std::int64_t forged_value = replica::ColludePlan{}.value;
-  ByzantineRun run;
-  run.pairs = pairs;
-  replica::WriteResult w;
-  replica::ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    cluster.read_into(r, 1);
-    const bool got_value = r.selection.has_value;
-    if (got_value && r.selection.record.value == forged_value) {
-      ++run.fabricated;
-    }
-    if (!got_value || r.selection.record.value != value) {
-      ++run.failures;
-    }
-  }
-  return run;
+  return bench::write_read_pairs(cluster, pairs,
+                                 [](replica::InstantCluster&) {});
 }
 
-std::vector<ByzantineRun> byzantine_shards(std::uint32_t b,
-                                           std::uint64_t pairs_per_shard,
-                                           std::uint32_t shards,
-                                           unsigned threads) {
-  std::vector<ByzantineRun> runs(shards);
-  util::WorkerPool pool(threads);
-  pool.run(shards, [&](std::uint64_t s) {
-    runs[s] = byzantine_shard(b, pairs_per_shard,
-                              /*seed=*/211 + 1000003 * s);
-  });
-  return runs;
+auto shard_at(std::uint32_t b) {
+  return [b](std::uint64_t pairs, std::uint64_t seed) {
+    return byzantine_shard(b, pairs, seed);
+  };
 }
 
-struct SweepPoint {
-  std::uint32_t b = 0;
-  std::uint64_t pairs = 0;
-  std::uint64_t fabricated = 0;
-  std::uint64_t failures = 0;
-  double fab_measured = 0.0;
-  double fab_exact = 0.0;      // fabrication_epsilon_exact (Lemma 5.7)
-  double fab_estimated = 0.0;  // estimate_fabrication_epsilon (Monte Carlo)
-  double fab_bound = 0.0;      // (1 + gamma) * fab_exact, 0 when exact = 0
-  double fail_measured = 0.0;
-  double fail_exact = 0.0;  // masking_epsilon_exact (Definition 5.1)
-  double fail_bound = 0.0;  // (1 + gamma) * fail_exact
-};
-
-// gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by
-// the multiplicative Chernoff bound (math/chernoff.h) — the conformance
-// test's margin, recomputed at this run's sample size.
-double margin_gamma(double mu) {
-  return std::sqrt(4.0 * std::log(2e9) / mu);
-}
-
-// Gates `count` successes over `pairs` trials against predicted rate
-// `exact` plus the Chernoff margin; a structurally impossible event
-// (exact = 0) must not occur at all. Returns the bound used.
-double gate_rate(const char* what, std::uint32_t b, std::uint64_t count,
-                 std::uint64_t pairs, double exact, bool& ok) {
-  if (exact == 0.0) {
-    if (count != 0) {
-      std::printf("MISMATCH: b=%u saw %" PRIu64
-                  " %s reads where the closed form says zero\n",
-                  b, count, what);
-      ok = false;
-    }
-    return 0.0;
-  }
-  const double mu = static_cast<double>(pairs) * exact;
-  const double gamma = margin_gamma(mu);
-  const double bound = (1.0 + gamma) * exact;
-  const double measured = static_cast<double>(count) /
-                          static_cast<double>(pairs);
-  if (math::chernoff_upper(mu, gamma) > 1e-9 || measured > bound) {
-    std::printf("MISMATCH: b=%u measured %s rate %.6g exceeds bound %.6g "
-                "(predicted %.6g)\n",
-                b, what, measured, bound, exact);
-    ok = false;
-  }
-  return bound;
-}
-
-std::vector<SweepPoint> byzantine_sweep(std::uint64_t pairs_per_shard,
-                                        unsigned threads, bool& ok) {
-  constexpr std::uint32_t kEpsShards = 8;
+void byzantine_sweep(bench::Report& report, std::uint64_t pairs_per_shard,
+                     unsigned threads) {
   const std::uint32_t k = masking_k();
   const auto sys =
       std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
-  std::vector<SweepPoint> points;
+  bench::Json& out = report.json.array("byzantine_sweep");
   for (const std::uint32_t b : {0u, 1u, kColluders / 2, kColluders}) {
-    SweepPoint p;
-    p.b = b;
-    p.fab_exact = core::fabrication_epsilon_exact(kUniverse, kQuorum, b, k);
-    p.fail_exact = core::masking_epsilon_exact(kUniverse, kQuorum, b, k);
+    const std::string at = ".b" + std::to_string(b);
+    const double fab_exact =
+        core::fabrication_epsilon_exact(kUniverse, kQuorum, b, k);
+    const double fail_exact =
+        core::masking_epsilon_exact(kUniverse, kQuorum, b, k);
 
     // Monte Carlo cross-check of the closed form on single quorum draws:
     // the Wilson interval at z = 6 must bracket the hypergeometric tail.
     math::Rng est_rng(0xfab0 + b);
     const math::Proportion est = core::estimate_fabrication_epsilon(
         *sys, b, k, /*samples=*/200000, est_rng);
-    p.fab_estimated = est.estimate();
-    if (!est.wilson(6.0).contains(p.fab_exact)) {
-      std::printf("MISMATCH: b=%u Monte Carlo fabrication epsilon %.6g "
-                  "outside the Wilson interval around the closed form "
-                  "%.6g\n",
-                  b, p.fab_estimated, p.fab_exact);
-      ok = false;
-    }
+    report.gate("mc_bracket" + at, est.wilson(6.0).contains(fab_exact),
+                "the Monte Carlo estimate's Wilson interval misses the "
+                "closed form");
 
-    ByzantineRun total;
-    for (const ByzantineRun& r :
-         byzantine_shards(b, pairs_per_shard, kEpsShards, threads)) {
-      total.pairs += r.pairs;
-      total.fabricated += r.fabricated;
-      total.failures += r.failures;
-    }
-    p.pairs = total.pairs;
-    p.fabricated = total.fabricated;
-    p.failures = total.failures;
-    p.fab_measured = static_cast<double>(total.fabricated) /
-                     static_cast<double>(total.pairs);
-    p.fail_measured = static_cast<double>(total.failures) /
-                      static_cast<double>(total.pairs);
-    p.fab_bound =
-        gate_rate("fabricated", b, total.fabricated, total.pairs,
-                  p.fab_exact, ok);
-    p.fail_bound =
-        gate_rate("failed", b, total.failures, total.pairs, p.fail_exact,
-                  ok);
-    points.push_back(p);
+    const bench::PairCounts total =
+        bench::epsilon_total(pairs_per_shard, threads, shard_at(b));
+    const double fab_measured = static_cast<double>(total.fabricated) /
+                                static_cast<double>(total.pairs);
+    const double fail_measured =
+        static_cast<double>(total.stale) / static_cast<double>(total.pairs);
+    // Acceptance of the forgery needs >= k colluders in the read quorum,
+    // so both rates sit inside their predicted events (b < k fabricates
+    // nothing: the structural zero).
+    const double fab_bound = bench::chernoff_gate(
+        report, "fabricated" + at, total.fabricated, total.pairs, fab_exact);
+    const double fail_bound = bench::chernoff_gate(
+        report, "failed" + at, total.stale, total.pairs, fail_exact);
+    std::printf(
+        "[epsilon] b=%u pairs=%" PRIu64
+        " fabricated=%.6f (exact %.6f, mc %.6f, bound %.6f) "
+        "failed=%.6f (exact %.6f, bound %.6f)\n",
+        b, total.pairs, fab_measured, fab_exact, est.estimate(), fab_bound,
+        fail_measured, fail_exact, fail_bound);
+    out.object()
+        .integer("b", b)
+        .integer("pairs", total.pairs)
+        .integer("fabricated", total.fabricated)
+        .integer("failures", total.stale)
+        .number("fabricated_rate", fab_measured)
+        .number("fabrication_epsilon", fab_exact)
+        .number("fabrication_estimate", est.estimate())
+        .number("fabrication_bound", fab_bound)
+        .number("failure_rate", fail_measured)
+        .number("masking_epsilon", fail_exact)
+        .number("failure_bound", fail_bound);
   }
-
-  // The measurement is a replay: per-shard results at the timed thread
-  // count and at 8 threads bit-identical to a serial reference, at the
-  // most adversarial point.
-  const std::uint64_t replay_pairs =
-      std::min<std::uint64_t>(pairs_per_shard, 2000);
-  const auto reference =
-      byzantine_shards(kColluders, replay_pairs, kEpsShards, 1);
-  for (const unsigned threads_check : {threads, 8u}) {
-    const auto runs =
-        byzantine_shards(kColluders, replay_pairs, kEpsShards, threads_check);
-    for (std::uint32_t s = 0; s < kEpsShards; ++s) {
-      if (!(runs[s] == reference[s])) {
-        std::printf("MISMATCH: byzantine measurement diverged at "
-                    "threads=%u shard=%u\n",
-                    threads_check, s);
-        ok = false;
-      }
-    }
-  }
-  return points;
-}
-
-// ---- reporting ------------------------------------------------------------
-
-struct SectionReport {
-  SectionSpec section;
-  std::uint32_t workers = 0;
-  RunOutcome timed;
-};
-
-void write_json(const char* path, const std::vector<SectionReport>& sections,
-                const std::vector<SweepPoint>& sweep, std::uint64_t ops,
-                bool ok) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"byzantine_throughput\",\n"
-               "  \"simd_kernel\": \"%s\",\n  \"universe\": %u,\n"
-               "  \"quorum\": %u,\n  \"masking_k\": %u,\n"
-               "  \"ops_per_section\": %" PRIu64 ",\n  \"ok\": %s,\n"
-               "  \"sections\": [\n",
-               simd::active().name, kUniverse, kQuorum, masking_k(), ops,
-               ok ? "true" : "false");
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    const SectionReport& s = sections[i];
-    const RunOutcome& r = s.timed;
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"shards\": %u, \"workers\": %u,\n"
-        "     \"ops_per_sec\": %.6g,\n"
-        "     \"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
-        ", \"p999_ns\": %" PRIu64 ", \"max_ns\": %" PRIu64 ",\n"
-        "     \"reads\": %" PRIu64 ", \"writes\": %" PRIu64
-        ", \"stale_reads\": %" PRIu64 ", \"rejected_forgeries\": %" PRIu64
-        ",\n     \"masked_reads\": %" PRIu64 ", \"bot_reads\": %" PRIu64
-        ", \"fault_events\": %" PRIu64 "}%s\n",
-        s.section.name.c_str(), kShards, s.workers,
-        static_cast<double>(ops) / r.seconds, r.histogram.p50(),
-        r.histogram.p99(), r.histogram.p999(), r.histogram.max(),
-        r.fold.reads, r.fold.writes, r.fold.stale_reads,
-        r.fold.rejected_forgeries, r.fold.masked_reads, r.fold.bot_reads,
-        r.fold.fault_events, i + 1 < sections.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"byzantine_sweep\": [\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    std::fprintf(
-        f,
-        "    {\"b\": %u, \"pairs\": %" PRIu64 ", \"fabricated\": %" PRIu64
-        ", \"failures\": %" PRIu64 ",\n"
-        "     \"fabricated_rate\": %.6g, \"fabrication_epsilon\": %.6g, "
-        "\"fabrication_estimate\": %.6g, \"fabrication_bound\": %.6g,\n"
-        "     \"failure_rate\": %.6g, \"masking_epsilon\": %.6g, "
-        "\"failure_bound\": %.6g}%s\n",
-        p.b, p.pairs, p.fabricated, p.failures, p.fab_measured, p.fab_exact,
-        p.fab_estimated, p.fab_bound, p.fail_measured, p.fail_exact,
-        p.fail_bound, i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  // The replay at the most adversarial point.
+  bench::epsilon_replay_gate(report, pairs_per_shard, threads,
+                             shard_at(kColluders));
 }
 
 int main_impl(int argc, char** argv) {
   const auto opts = bench::parse_options(argc, argv);
   const std::uint64_t ops = opts.samples_or(30000);
-  unsigned workers = opts.threads;
-  if (workers == 0) workers = std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
+  const unsigned workers = opts.workers();
 
   const auto sys =
       std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
@@ -462,48 +240,57 @@ int main_impl(int argc, char** argv) {
       ops, kKeys, kUniverse, kQuorum, masking_k(), kShards, workers,
       simd::active().name);
 
-  bool ok = true;
-  std::vector<SectionReport> reports;
+  bench::Report report("byzantine_throughput");
+  report.json.integer("universe", kUniverse)
+      .integer("quorum", kQuorum)
+      .integer("masking_k", masking_k())
+      .integer("ops_per_section", ops);
+  workload::OpenLoopSpec spec;
+  spec.keys = kKeys;
+  spec.zipf_exponent = 0.99;
+  spec.read_fraction = 0.5;
   double plain_ops_per_sec = 0.0;
+  std::uint64_t index = 0;
   for (const SectionSpec& section : make_sections(ops)) {
-    const std::uint64_t seed =
-        0xb52u + 131 * static_cast<std::uint64_t>(reports.size());
-    const RunOutcome timed = drive(sys, section, workers, ops, seed);
-    const RunOutcome w1 = drive(sys, section, 1, ops, seed);
-    const RunOutcome w8 = drive(sys, section, 8, ops, seed);
-    if (!(timed.aggregates == w1.aggregates) ||
-        !(timed.aggregates == w8.aggregates)) {
-      std::printf("MISMATCH: %s shard aggregates differ across worker "
-                  "counts\n",
-                  section.name.c_str());
-      ok = false;
-    }
-    if (!timed.drained_all || !w1.drained_all || !w8.drained_all) {
-      std::printf("MISMATCH: %s lost requests or fault events in the "
-                  "drain\n",
-                  section.name.c_str());
-      ok = false;
-    }
-    const bool adversarial = section.faults.inject_at != 0;
+    serve::KvService::Config cfg;
+    cfg.shards = kShards;
+    cfg.quorums = sys;
+    cfg.seed = 0xb52u + 131 * index++;
+    cfg.read_mode = section.mode;
+    cfg.read_threshold = section.mode == ReadMode::kMasking ? masking_k() : 1;
+    const FaultScript& script = section.faults;
+    const bench::RunOutcome timed =
+        bench::replay_gate(report, section.name, workers, [&](unsigned w) {
+          cfg.workers = w;
+          bench::RunOutcome out = bench::drive_service(
+              cfg, spec, ops,
+              [&script](serve::KvService& service, std::uint64_t i) {
+                inject_faults(script, service, i);
+              });
+          out.drained_all = out.drained_all &&
+                            out.fold.fault_events == script.expected_events();
+          return out;
+        });
+    const bool adversarial = script.inject_at != 0;
     // Plain and dissemination reject nothing on an honest fleet (every
     // MAC verifies). Masking legitimately rejects even honest replies:
     // servers outside recent write quorums hold older timestamps, and a
     // sub-k group of them is indistinguishable from a forgery — that
     // conservatism is the rule, so it is reported, not gated.
-    if (!adversarial && section.mode != ReadMode::kMasking &&
-        (timed.fold.rejected_forgeries != 0 ||
-         timed.fold.masked_reads != 0)) {
-      std::printf("MISMATCH: %s counted rejections on an honest fleet\n",
-                  section.name.c_str());
-      ok = false;
+    if (!adversarial && section.mode != ReadMode::kMasking) {
+      report.gate("honest." + section.name,
+                  timed.fold.rejected_forgeries == 0 &&
+                      timed.fold.masked_reads == 0,
+                  "counted rejections on an honest fleet");
     }
-    if (adversarial && timed.fold.rejected_forgeries == 0) {
-      std::printf("MISMATCH: %s flipped %u colluders but the masking rule "
-                  "rejected nothing\n",
-                  section.name.c_str(), section.faults.colluders);
-      ok = false;
+    if (adversarial) {
+      report.gate("rejects." + section.name,
+                  timed.fold.rejected_forgeries > 0,
+                  "the masking rule rejected nothing while " +
+                      std::to_string(script.colluders) +
+                      " colluders were live");
     }
-    const double ops_per_sec = static_cast<double>(ops) / timed.seconds;
+    const double ops_per_sec = timed.ops_per_sec();
     if (section.mode == ReadMode::kPlain) plain_ops_per_sec = ops_per_sec;
     std::printf(
         "[serve] section=%-16s workers=%u ops/sec=%.3g p50=%.1fus "
@@ -515,28 +302,20 @@ int main_impl(int argc, char** argv) {
         plain_ops_per_sec > 0.0 ? ops_per_sec / plain_ops_per_sec : 1.0,
         timed.fold.rejected_forgeries, timed.fold.masked_reads,
         timed.fold.bot_reads, timed.fold.fault_events);
-    reports.push_back({section, workers, timed});
+    report.section(section.name, workers, timed)
+        .integer("shards", kShards)
+        .integer("rejected_forgeries", timed.fold.rejected_forgeries)
+        .integer("masked_reads", timed.fold.masked_reads)
+        .integer("bot_reads", timed.fold.bot_reads)
+        .integer("fault_events", timed.fold.fault_events);
   }
 
-  const std::vector<SweepPoint> sweep = byzantine_sweep(ops, workers, ok);
-  for (const SweepPoint& p : sweep) {
-    std::printf(
-        "[epsilon] b=%u pairs=%" PRIu64
-        " fabricated=%.6f (exact %.6f, mc %.6f, bound %.6f) "
-        "failed=%.6f (exact %.6f, bound %.6f)\n",
-        p.b, p.pairs, p.fab_measured, p.fab_exact, p.fab_estimated,
-        p.fab_bound, p.fail_measured, p.fail_exact, p.fail_bound);
-  }
+  byzantine_sweep(report, ops, workers);
 
-  if (!opts.json.empty()) {
-    write_json(opts.json.c_str(), reports, sweep, ops, ok);
-  }
-
-  std::printf(ok ? "OK: aggregates bit-identical across worker counts; "
-                   "fabrication and failure rates within their "
-                   "masking-epsilon bounds\n"
-                 : "FAILED: see mismatches above\n");
-  return ok ? 0 : 1;
+  return report.finish(opts,
+                       "aggregates bit-identical across worker counts; "
+                       "fabrication and failure rates within their "
+                       "masking-epsilon bounds");
 }
 
 }  // namespace

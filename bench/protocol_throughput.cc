@@ -19,15 +19,14 @@
 // count.
 //
 // Flags: --threads=N (pool size, 0 = hardware), --samples=N (ops per
-// shard; default 100000), --writers=N (contending writer clients per shard
-// in the multi-writer section; default 4, max 255), --repair (repeat the
-// multi-writer section with read-repair write-backs and report the load
-// shift), --json=PATH (machine-readable report: ops/s, allocs/op, conflict
-// rates, per-server contention counters and load profiles, and the
-// dispatched SIMD kernel — CI archives it as BENCH_protocol.json).
+// shard; default 100000), --json=PATH (machine-readable report: ops/s,
+// allocs/op, conflict rates, per-server contention counters and load
+// profiles, the dispatched SIMD kernel, and the gates — CI archives it as
+// BENCH_protocol.json and gates it with bench/check_regression.py against
+// bench/protocol_baseline.json).
 //
 // The multi-writer section measures timestamp-conflict behaviour under
-// contention: N writers per shard interleave on the same Zipfian key
+// contention: 4 writers per shard interleave on the same Zipfian key
 // space, and a write "conflicts" when it completes with a timestamp below
 // the key's current maximum — it lost the ordering race, and every server
 // that already holds the newer record ignores it (the standard (seq <<
@@ -35,12 +34,16 @@
 // are the default section above). The section reports the server-side
 // observability layer: per-server writes_superseded counters
 // (stats::ContentionSnapshot) and the measured per-server load profile
-// (stats::LoadProfile over server contacts). With --repair, reads push the
-// selected record back to quorum members that answered stale
-// (InstantCluster::read_repair_into); repair consumes no rng draws, so the
-// quorum streams are unchanged and the profile shift is purely the repair
-// traffic. The repair run is verified bit-identical across thread counts,
-// like the main section.
+// (stats::LoadProfile over server contacts). The section then repeats with
+// read repair: reads push the selected record back to quorum members that
+// answered stale (InstantCluster::read_repair_into); repair consumes no
+// rng draws, so the quorum streams are unchanged and the profile shift is
+// purely the repair traffic. The repair run is verified bit-identical
+// across thread counts, like the main section.
+//
+// Gates: replay.<system>, replay.<system>.repair, repair_accesses.<system>,
+// and the repair report's superseded_per_server.<system> and
+// load_profile.<system>.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -68,6 +71,10 @@ namespace {
 using replica::InstantCluster;
 
 constexpr std::uint32_t kShards = 8;
+// Contending writers per shard in the multi-writer section: with one
+// writer, timestamps are strictly increasing and the conflict metrics are
+// identically zero.
+constexpr std::uint32_t kWriters = 4;
 
 std::shared_ptr<const quorum::QuorumSystem> make_system(int which) {
   switch (which) {
@@ -81,22 +88,11 @@ std::shared_ptr<const quorum::QuorumSystem> make_system(int which) {
   }
 }
 
-struct Aggregate {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t stale_reads = 0;
-  std::uint64_t empty_reads = 0;
-  std::uint64_t access_checksum = 0;  // position-weighted, order-sensitive
-
-  bool operator==(const Aggregate& o) const {
-    return reads == o.reads && writes == o.writes &&
-           stale_reads == o.stale_reads && empty_reads == o.empty_reads &&
-           access_checksum == o.access_checksum;
-  }
-};
-
-Aggregate fold(const std::vector<workload::WorkloadReport>& reports) {
-  Aggregate agg;
+// The shards' reports folded in index order into the serving tier's
+// aggregate fields (the checksum is position-weighted, order-sensitive).
+serve::ShardAggregate fold(
+    const std::vector<workload::WorkloadReport>& reports) {
+  serve::ShardAggregate agg;
   for (const auto& r : reports) {
     agg.reads += r.reads;
     agg.writes += r.writes;
@@ -110,14 +106,9 @@ Aggregate fold(const std::vector<workload::WorkloadReport>& reports) {
   return agg;
 }
 
-struct RunResult {
-  Aggregate aggregate;
-  double seconds = 0.0;
-  double allocs_per_op = 0.0;
-};
-
-RunResult run_shards(const std::shared_ptr<const quorum::QuorumSystem>& sys,
-                     std::uint64_t ops_per_shard, unsigned threads) {
+bench::RunOutcome run_shards(
+    const std::shared_ptr<const quorum::QuorumSystem>& sys,
+    std::uint64_t ops_per_shard, unsigned threads) {
   workload::WorkloadSpec spec;
   spec.keys = 64;
   spec.zipf_exponent = 0.99;
@@ -144,8 +135,9 @@ RunResult run_shards(const std::shared_ptr<const quorum::QuorumSystem>& sys,
   const auto t1 = std::chrono::steady_clock::now();
   const std::uint64_t after = bench::allocations();
 
-  RunResult result;
-  result.aggregate = fold(reports);
+  bench::RunOutcome result;
+  result.fold = fold(reports);
+  result.ops = ops_per_shard * kShards;
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
   result.allocs_per_op =
       static_cast<double>(after - before) /
@@ -172,7 +164,7 @@ struct MultiWriterResult {
   std::vector<std::uint64_t> accesses;
   // Per-server protocol counters folded across shards. writes_accepted +
   // reads_served is the server-side contact count *including* repair
-  // traffic — the load profile that shifts when --repair is on.
+  // traffic — the load profile that shifts in the repair run.
   stats::ContentionSnapshot contention;
   double seconds = 0.0;
   double allocs_per_op = 0.0;
@@ -213,8 +205,7 @@ struct MultiWriterResult {
 
 MultiWriterResult run_multi_writer(
     const std::shared_ptr<const quorum::QuorumSystem>& sys,
-    std::uint32_t writers, std::uint64_t ops_per_shard, unsigned threads,
-    bool repair) {
+    std::uint64_t ops_per_shard, unsigned threads, bool repair) {
   struct ShardStats {
     std::uint64_t writes = 0, reads = 0, conflicts = 0, covered = 0;
     std::uint64_t write_contacts = 0, repairs = 0;
@@ -266,7 +257,7 @@ MultiWriterResult run_multi_writer(
         // Writers take turns; ids are 1-based (writer < 256 keeps the
         // (seq << 16) | writer timestamps collision-free).
         const std::uint32_t writer =
-            1 + static_cast<std::uint32_t>(out.writes % writers);
+            1 + static_cast<std::uint32_t>(out.writes % kWriters);
         cluster.write_as_into(w, writer, key, ++value);
         out.write_contacts += w.acks;
         auto& seen = max_ts[key];
@@ -343,180 +334,122 @@ void raw_draw_section(const std::shared_ptr<const quorum::QuorumSystem>& sys,
   });
 }
 
-// One system's full measurement set, kept for the JSON report.
-struct SystemReport {
-  std::string name;
-  RunResult mask;
-  MultiWriterResult multi;
-  bool has_repair = false;
-  MultiWriterResult repaired;
-};
-
-// One multi-writer JSON object: rates, repair count, the per-server
-// superseded counters, and the measured server-side load profile.
-void write_multi_writer_json(std::FILE* f, const char* key,
-                             const MultiWriterResult& m, std::uint32_t writers,
-                             double total_ops) {
+// One multi-writer JSON object: rates, repair count, the measured
+// server-side load profile, and the per-server superseded counters.
+void multi_writer_json(bench::Json& out, const MultiWriterResult& m,
+                       double total_ops) {
   const stats::LoadProfile profile = m.server_profile();
-  std::fprintf(f,
-               "      \"%s\": {\"writers\": %u, \"ops_per_sec\": %.6g, "
-               "\"conflict_rate\": %.6f, \"superseded_rate\": %.6f, "
-               "\"repairs\": %" PRIu64 ", \"allocs_per_op\": %.4f,\n"
-               "        \"load_profile\": {\"max_load\": %.6f, "
-               "\"mean_load\": %.6f, \"imbalance\": %.4f, \"top\": [",
-               key, writers, total_ops / m.seconds, m.conflict_rate(),
-               m.superseded_rate(), m.repairs, m.allocs_per_op,
-               profile.max_load(), profile.mean_load(), profile.imbalance());
-  const auto top = profile.hottest(5);
-  for (std::size_t t = 0; t < top.size(); ++t) {
-    std::fprintf(f, "{\"server\": %u, \"load\": %.6f}%s", top[t].server,
-                 top[t].load, t + 1 < top.size() ? ", " : "");
+  out.integer("writers", kWriters)
+      .number("ops_per_sec", total_ops / m.seconds)
+      .number("conflict_rate", m.conflict_rate(), "%.6f")
+      .number("superseded_rate", m.superseded_rate(), "%.6f")
+      .integer("repairs", m.repairs)
+      .number("allocs_per_op", m.allocs_per_op, "%.4f");
+  bench::Json& load = out.object("load_profile")
+                          .number("max_load", profile.max_load(), "%.6f")
+                          .number("mean_load", profile.mean_load(), "%.6f")
+                          .number("imbalance", profile.imbalance(), "%.4f");
+  bench::Json& top = load.array("top");
+  for (const auto& t : profile.hottest(5)) {
+    top.object().integer("server", t.server).number("load", t.load, "%.6f");
   }
-  std::fprintf(f, "]},\n        \"superseded_per_server\": [");
-  const auto& per_server = m.contention.per_server();
-  for (std::size_t u = 0; u < per_server.size(); ++u) {
-    std::fprintf(f, "%" PRIu64 "%s", per_server[u].writes_superseded,
-                 u + 1 < per_server.size() ? ", " : "");
+  bench::Json& per_server = out.array("superseded_per_server");
+  for (const auto& c : m.contention.per_server()) {
+    per_server.integer({}, c.writes_superseded);
   }
-  std::fprintf(f, "]}");
-}
-
-void write_json(const char* path, const std::vector<SystemReport>& systems,
-                std::uint64_t ops_per_shard, std::uint32_t writers, bool ok) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n", path);
-    return;
-  }
-  const double total_ops =
-      static_cast<double>(ops_per_shard) * static_cast<double>(kShards);
-  std::fprintf(f,
-               "{\n  \"bench\": \"protocol_throughput\",\n"
-               "  \"simd_kernel\": \"%s\",\n  \"shards\": %u,\n"
-               "  \"ops_per_shard\": %" PRIu64 ",\n  \"writers\": %u,\n"
-               "  \"ok\": %s,\n  \"systems\": [\n",
-               simd::active().name, kShards, ops_per_shard, writers,
-               ok ? "true" : "false");
-  for (std::size_t i = 0; i < systems.size(); ++i) {
-    const SystemReport& s = systems[i];
-    std::fprintf(
-        f,
-        "    {\n      \"name\": \"%s\",\n"
-        "      \"mask\": {\"ops_per_sec\": %.6g, \"allocs_per_op\": %.4f},\n",
-        s.name.c_str(), total_ops / s.mask.seconds, s.mask.allocs_per_op);
-    write_multi_writer_json(f, "multi_writer", s.multi, writers, total_ops);
-    if (s.has_repair) {
-      std::fprintf(f, ",\n");
-      write_multi_writer_json(f, "multi_writer_repair", s.repaired, writers,
-                              total_ops);
-    }
-    std::fprintf(f, "\n    }%s\n", i + 1 < systems.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 int main_impl(int argc, char** argv) {
   const auto opts = bench::parse_options(argc, argv);
   const std::uint64_t ops_per_shard = opts.samples_or(100000);
   const unsigned threads = opts.threads;
-  const std::uint32_t writers =
-      opts.writers < 1 ? 1 : (opts.writers > 255 ? 255 : opts.writers);
-  const bool repair = opts.repair;
 
   std::printf(
       "protocol_throughput: %u shards x %" PRIu64
       " ops, zipf(0.99) over 64 keys, 50%% reads, simd=%s\n",
       kShards, ops_per_shard, simd::active().name);
 
-  bool ok = true;
-  std::vector<SystemReport> reports;
+  bench::Report report("protocol_throughput");
+  report.json.integer("shards", kShards)
+      .integer("ops_per_shard", ops_per_shard)
+      .integer("writers", kWriters);
+  bench::Json& systems = report.json.array("systems");
+  const double total_ops =
+      static_cast<double>(ops_per_shard) * static_cast<double>(kShards);
   for (int which = 0; which < 3; ++which) {
     const auto sys = make_system(which);
-    const RunResult mask = run_shards(sys, ops_per_shard, threads);
+    const std::string name = sys->name();
     // Thread scheduling must not be able to change the fold.
-    for (const unsigned replay : {1u, 8u}) {
-      if (!(run_shards(sys, ops_per_shard, replay).aggregate ==
-            mask.aggregate)) {
-        std::printf("MISMATCH: %s aggregates differ at %u threads\n",
-                    sys->name().c_str(), replay);
-        ok = false;
-      }
-    }
-    const double total_ops =
-        static_cast<double>(ops_per_shard) * static_cast<double>(kShards);
+    const bench::RunOutcome mask = bench::replay_gate(
+        report, name, threads,
+        [&](unsigned t) { return run_shards(sys, ops_per_shard, t); },
+        [](const bench::RunOutcome& a, const bench::RunOutcome& b) {
+          return a.fold == b.fold;
+        });
     std::printf(
         "[protocol] system=%s ops/sec=%.3g allocs/op=%.2f stale=%" PRIu64
         " checksum=%" PRIu64 "\n",
-        sys->name().c_str(), total_ops / mask.seconds, mask.allocs_per_op,
-        mask.aggregate.stale_reads, mask.aggregate.access_checksum);
+        name.c_str(), mask.ops_per_sec(), mask.allocs_per_op,
+        mask.fold.stale_reads, mask.fold.access_checksum);
 
     const MultiWriterResult multi =
-        run_multi_writer(sys, writers, ops_per_shard, threads, false);
+        run_multi_writer(sys, ops_per_shard, threads, false);
     const stats::LoadProfile base_profile = multi.server_profile();
     std::printf(
         "[multiwriter] system=%s writers=%u ops/sec=%.3g conflict_rate=%.4f "
         "superseded_rate=%.4f coverage=%.1f max_load=%.4f imbalance=%.3f "
         "allocs/op=%.2f\n",
-        sys->name().c_str(), writers, total_ops / multi.seconds,
+        name.c_str(), kWriters, total_ops / multi.seconds,
         multi.conflict_rate(), multi.superseded_rate(),
         static_cast<double>(multi.covered) / static_cast<double>(kShards),
         base_profile.max_load(), base_profile.imbalance(),
         multi.allocs_per_op);
 
-    SystemReport report{sys->name(), mask, multi, false, {}};
-    if (repair) {
-      // The read-repair experiment: same draws (repair consumes no rng),
-      // so the access counters match the base run by construction, and the
-      // whole run must be bit-identical across thread counts like the main
-      // section.
-      report.has_repair = true;
-      report.repaired =
-          run_multi_writer(sys, writers, ops_per_shard, threads, true);
-      for (const unsigned replay : {1u, 8u}) {
-        if (!report.repaired.counters_equal(run_multi_writer(
-                sys, writers, ops_per_shard, replay, true))) {
-          std::printf("MISMATCH: %s repair aggregates differ at %u threads\n",
-                      sys->name().c_str(), replay);
-          ok = false;
-        }
-      }
-      if (report.repaired.accesses != multi.accesses) {
-        std::printf(
-            "MISMATCH: %s repair changed the quorum access counters\n",
-            sys->name().c_str());
-        ok = false;
-      }
-      const stats::LoadProfile repaired_profile =
-          report.repaired.server_profile();
-      std::printf(
-          "[repair] system=%s repairs=%" PRIu64
-          " repairs/read=%.4f max_load %.4f->%.4f imbalance %.3f->%.3f "
-          "superseded_rate %.4f->%.4f\n",
-          sys->name().c_str(), report.repaired.repairs,
-          report.repaired.reads == 0
-              ? 0.0
-              : static_cast<double>(report.repaired.repairs) /
-                    static_cast<double>(report.repaired.reads),
-          base_profile.max_load(), repaired_profile.max_load(),
-          base_profile.imbalance(), repaired_profile.imbalance(),
-          multi.superseded_rate(), report.repaired.superseded_rate());
-    }
+    // The read-repair experiment: same draws (repair consumes no rng), so
+    // the access counters match the base run by construction, and the
+    // whole run must be bit-identical across thread counts like the main
+    // section.
+    const MultiWriterResult repaired = bench::replay_gate(
+        report, name + ".repair", threads,
+        [&](unsigned t) {
+          return run_multi_writer(sys, ops_per_shard, t, true);
+        },
+        [](const MultiWriterResult& a, const MultiWriterResult& b) {
+          return a.counters_equal(b);
+        });
+    report.gate("repair_accesses." + name, repaired.accesses == multi.accesses,
+                "repair changed the quorum access counters");
+    const stats::LoadProfile repaired_profile = repaired.server_profile();
+    report.gate("superseded_per_server." + name,
+                !repaired.contention.per_server().empty(),
+                "the repair run has no per-server contention counters");
+    report.gate("load_profile." + name, repaired_profile.max_load() > 0.0,
+                "the repair run's load profile is empty");
+    std::printf(
+        "[repair] system=%s repairs=%" PRIu64
+        " repairs/read=%.4f max_load %.4f->%.4f imbalance %.3f->%.3f "
+        "superseded_rate %.4f->%.4f\n",
+        name.c_str(), repaired.repairs,
+        repaired.reads == 0 ? 0.0
+                            : static_cast<double>(repaired.repairs) /
+                                  static_cast<double>(repaired.reads),
+        base_profile.max_load(), repaired_profile.max_load(),
+        base_profile.imbalance(), repaired_profile.imbalance(),
+        multi.superseded_rate(), repaired.superseded_rate());
 
-    reports.push_back(std::move(report));
+    bench::Json& out = systems.object().text("name", name);
+    out.object("mask")
+        .number("ops_per_sec", mask.ops_per_sec())
+        .number("allocs_per_op", mask.allocs_per_op, "%.4f");
+    multi_writer_json(out.object("multi_writer"), multi, total_ops);
+    multi_writer_json(out.object("multi_writer_repair"), repaired, total_ops);
   }
 
   const std::uint64_t draws = ops_per_shard < 8192 ? 32768 : 1u << 20;
   raw_draw_section(make_system(0), draws);
   raw_draw_section(make_system(1), draws);
 
-  if (!opts.json.empty()) {
-    write_json(opts.json.c_str(), reports, ops_per_shard, writers, ok);
-  }
-
-  std::printf(ok ? "OK: aggregates bit-identical across thread counts\n"
-                 : "FAILED: see mismatches above\n");
-  return ok ? 0 : 1;
+  return report.finish(opts, "aggregates bit-identical across thread counts");
 }
 
 }  // namespace

@@ -20,6 +20,11 @@ double chernoff_upper(double mu, double gamma) {
   return std::min(1.0, bound);
 }
 
+double chernoff_margin(double mu) {
+  PQS_REQUIRE(mu > 0.0, "chernoff mu");
+  return std::sqrt(4.0 * std::log(2e9) / mu);
+}
+
 double chernoff_lower(double mu, double delta) {
   PQS_REQUIRE(mu >= 0.0, "chernoff mu");
   PQS_REQUIRE(delta >= 0.0 && delta <= 1.0, "chernoff delta");

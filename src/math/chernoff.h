@@ -16,6 +16,11 @@ namespace pqs::math {
 //   P(X > (1+g) mu) <= 2^{-(1+g) mu}         for g > 2e-1.
 double chernoff_upper(double mu, double gamma);
 
+// The margin the conformance gates use: gamma = sqrt(4 ln(2e9) / mu), at
+// which the exp branch above gives P(X > (1+gamma) mu) <= 1/(2e9) <= 1e-9
+// (while gamma <= 2e-1, i.e. for mu >= 4.35).
+double chernoff_margin(double mu);
+
 // Multiplicative lower-tail bound: P(X < (1-d) mu) <= exp(-mu d^2 / 2),
 // valid for 0 <= d <= 1.
 double chernoff_lower(double mu, double delta);

@@ -80,7 +80,7 @@ ByzantineRun run_pairs(std::uint32_t n, std::uint32_t q, std::uint32_t b,
 // gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by the
 // multiplicative Chernoff bound.
 double margin_gamma(double mu) {
-  const double gamma = std::sqrt(4.0 * std::log(2e9) / mu);
+  const double gamma = math::chernoff_margin(mu);
   EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
   EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
   return gamma;

@@ -67,7 +67,7 @@ StalenessRun run_pairs(std::uint32_t n, std::uint32_t q, std::uint32_t crashed,
 // gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by the
 // multiplicative Chernoff bound; requires gamma <= 2e-1 for the exp form.
 double margin_gamma(double mu) {
-  const double gamma = std::sqrt(4.0 * std::log(2e9) / mu);
+  const double gamma = math::chernoff_margin(mu);
   EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
   EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
   return gamma;

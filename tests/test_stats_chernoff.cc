@@ -89,6 +89,15 @@ TEST(Chernoff, UpperBoundsBinomialTail) {
   }
 }
 
+TEST(Chernoff, MarginReachesTheGateTarget) {
+  // The conformance gates' margin lands the exp branch at 1 / (2e9).
+  for (double mu : {4.36, 10.0, 1e3, 1e6}) {
+    const double gamma = chernoff_margin(mu);
+    EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0) << "mu=" << mu;
+    EXPECT_NEAR(chernoff_upper(mu, gamma), 0.5e-9, 1e-15) << "mu=" << mu;
+  }
+}
+
 TEST(Chernoff, LowerBoundsBinomialTail) {
   const std::int64_t n = 200;
   const double p = 0.4;

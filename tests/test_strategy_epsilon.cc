@@ -93,7 +93,7 @@ StalenessRun run_pairs(std::shared_ptr<const Strategy> strategy,
 // gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by
 // the multiplicative Chernoff bound.
 double margin_gamma(double mu) {
-  const double gamma = std::sqrt(4.0 * std::log(2e9) / mu);
+  const double gamma = math::chernoff_margin(mu);
   EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
   EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
   return gamma;
