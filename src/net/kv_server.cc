@@ -155,6 +155,9 @@ void KvServer::handle_io(const std::shared_ptr<Connection>& conn,
     return;
   }
   if ((events & EPOLLOUT) != 0) try_write(conn);
+  // A hard send error in try_write closes the connection, and its fd
+  // number may already belong to another socket: read no further.
+  if (conn->closed.load(std::memory_order_acquire)) return;
   if ((events & EPOLLIN) != 0) drain_input(conn);
 }
 
@@ -308,11 +311,10 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
 
 void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
   if (conn->closed.load(std::memory_order_acquire)) return;
-  std::unique_lock<std::mutex> lock(conn->out_mutex);
-  while (conn->out_offset < conn->out.size()) {
+  while (refill_sending(*conn)) {
     const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_offset,
-               conn->out.size() - conn->out_offset, MSG_NOSIGNAL);
+        ::send(conn->fd, conn->sending.data() + conn->sending_offset,
+               conn->sending.size() - conn->sending_offset, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -325,18 +327,28 @@ void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
       // Hard send error (the peer reset): reap the fd now. Nothing else
       // would — handle_io ignores a closed connection — so a peer that
       // resets mid-flush would otherwise pin its fd until stop().
-      lock.unlock();
       close_connection(conn);
       return;
     }
-    conn->out_offset += static_cast<std::size_t>(n);
+    conn->sending_offset += static_cast<std::size_t>(n);
   }
-  conn->out.clear();
-  conn->out_offset = 0;
   if (conn->want_write) {
     conn->want_write = false;
     conn->loop->modify_fd(conn->fd, EPOLLIN);
   }
+}
+
+bool KvServer::refill_sending(Connection& conn) {
+  if (conn.sending_offset < conn.sending.size()) return true;
+  conn.sending.clear();
+  conn.sending_offset = 0;
+  {
+    // Both buffers keep their capacity across swaps, so a steady stream
+    // of responses allocates nothing here.
+    std::lock_guard<std::mutex> lock(conn.out_mutex);
+    conn.sending.swap(conn.out);
+  }
+  return !conn.sending.empty();
 }
 
 void KvServer::close_connection(const std::shared_ptr<Connection>& conn) {
@@ -363,14 +375,15 @@ void KvServer::reset_connection(const std::shared_ptr<Connection>& conn) {
 void KvServer::flush_remaining(Connection& conn) {
   // Best-effort, bounded: the socket is still open and nonblocking, the
   // IO threads are joined, so this thread owns it. A peer that stopped
-  // reading cannot wedge shutdown — the poll budget caps the wait.
-  std::lock_guard<std::mutex> lock(conn.out_mutex);
+  // reading cannot wedge shutdown — the poll budget caps the wait. The
+  // rest of `sending` goes first, then whatever is still in `out`.
   int budget_ms = 200;
-  while (conn.out_offset < conn.out.size()) {
-    const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
-                             conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
+  while (refill_sending(conn)) {
+    const ssize_t n =
+        ::send(conn.fd, conn.sending.data() + conn.sending_offset,
+               conn.sending.size() - conn.sending_offset, MSG_NOSIGNAL);
     if (n > 0) {
-      conn.out_offset += static_cast<std::size_t>(n);
+      conn.sending_offset += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

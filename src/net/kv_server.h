@@ -10,7 +10,10 @@
 // response frame into the connection's outbound buffer and posts a flush
 // to the connection's own IO thread, which owns every socket write; the
 // worker thread never touches a socket, so a slow or blocked peer can
-// never stall the protocol hot loop.
+// never stall the protocol hot loop. The buffer's out_mutex guards
+// memory only: a worker holds it for one append, the IO thread for one
+// swap of the appended bytes into its own send buffer, and neither holds
+// it across a syscall.
 //
 // Ordering and determinism: one connection's frames are decoded and
 // submitted in wire order by a single IO thread, so with one client
@@ -103,13 +106,17 @@ class KvServer {
     EventLoop* loop = nullptr;  // the IO thread that owns this socket
     FrameDecoder decoder;
     // The outbound buffer is the one cross-thread seam per connection:
-    // shard workers append response frames under out_mutex, the owning
-    // IO thread drains it to the socket. flush_pending collapses a burst
-    // of completions into one posted flush task.
+    // out_mutex covers a shard worker's append of a response frame to
+    // `out` and the owning IO thread's swap of `out` into `sending`,
+    // never a syscall: the IO thread writes `sending` to the socket with
+    // no lock held, and in full before the next swap, so bytes leave in
+    // the order they were appended even across EAGAIN. flush_pending
+    // collapses a burst of completions into one posted flush task.
     std::mutex out_mutex;
     std::vector<unsigned char> out;
-    std::size_t out_offset = 0;  // consumed prefix of `out`
-    bool want_write = false;     // EPOLLOUT armed (loop-thread-only)
+    std::vector<unsigned char> sending;  // loop-thread-only
+    std::size_t sending_offset = 0;      // written prefix of `sending`
+    bool want_write = false;             // EPOLLOUT armed (loop-thread-only)
     std::atomic<bool> flush_pending{false};
     std::atomic<bool> closed{false};
     // Injected slow-loris: queued bytes are never flushed (and the
@@ -129,6 +136,10 @@ class KvServer {
                         const Frame& frame);
   // Loop-thread-only: writes pending bytes, arms/disarms EPOLLOUT.
   void try_write(const std::shared_ptr<Connection>& conn);
+  // True while `sending` holds unwritten bytes. Once it is written in
+  // full, swaps in what the workers have appended to `out` since, and is
+  // false only if that is empty too. Only the socket's owner calls it.
+  static bool refill_sending(Connection& conn);
   void close_connection(const std::shared_ptr<Connection>& conn);
   // SO_LINGER(0) + close: the peer sees a hard RST, not a FIN.
   void reset_connection(const std::shared_ptr<Connection>& conn);

@@ -15,11 +15,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <memory>
 #include <thread>
@@ -453,13 +456,18 @@ TEST(KvServerFaults, ProbabilisticCampaignRecoversEverything) {
 
 // ---- adversarial clients (protocol robustness over real sockets) ----------
 
-int raw_connect(std::uint16_t port) {
+// A positive `rcvbuf` sets SO_RCVBUF before connect, so the receive
+// window the socket advertises stays that small.
+int raw_connect(std::uint16_t port, int rcvbuf = 0) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   return fd;
@@ -708,6 +716,77 @@ TEST(KvServerAdversarial, PeerResetDuringFlushReleasesItsFd) {
       << "server-side connections leaked after " << kCycles << " resets";
   service.stop_and_drain();
   server.stop();
+}
+
+// The largest send buffer the kernel grows a TCP socket to: the third
+// field of /proc/sys/net/ipv4/tcp_wmem, or its usual 4 MiB if unreadable.
+std::size_t tcp_wmem_max() {
+  std::ifstream in("/proc/sys/net/ipv4/tcp_wmem");
+  std::size_t min_bytes = 0;
+  std::size_t default_bytes = 0;
+  std::size_t max_bytes = 0;
+  if (in >> min_bytes >> default_bytes >> max_bytes) return max_bytes;
+  return std::size_t{4} << 20;
+}
+
+// A peer that stops reading makes the server's send() return EAGAIN with
+// part of its buffered responses written: the one state in which the IO
+// thread holds unsent bytes while the worker keeps appending new ones.
+// A raw socket with a 4 KiB receive buffer pipelines GETs whose responses
+// come to twice the largest send buffer the kernel grants, waits without
+// reading, then reads everything. With one shard and one worker the
+// responses complete in submission order, so every frame must decode and
+// every request_id must arrive exactly once, in order.
+TEST(KvServer, BackpressuredPeerGetsEveryResponseInOrder) {
+  const std::size_t frames = std::max<std::size_t>(
+      std::size_t{1} << 18, 2 * tcp_wmem_max() / kFrameBytes);
+  serve::KvService service(service_config(1, 1));
+  KvServer server(KvServer::Config{}, service);
+  server.start();
+  service.start();
+
+  std::vector<unsigned char> wire(frames * kFrameBytes);
+  Frame get;
+  get.op = Op::kGet;
+  for (std::size_t i = 0; i < frames; ++i) {
+    get.request_id = i;
+    get.key = i % 64;
+    encode_frame(get, &wire[i * kFrameBytes]);
+  }
+  const int fd = raw_connect(server.port(), /*rcvbuf=*/4096);
+  // A lost response must fail the test, not hang it.
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  send_all(fd, wire.data(), wire.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  FrameDecoder decoder(1 << 16);
+  std::vector<unsigned char> chunk(decoder.capacity());
+  Frame resp;
+  std::uint64_t in_order = 0;  // responses received, all in order so far
+  FrameDecoder::Result r = FrameDecoder::Result::kNeedMore;
+  bool misordered = false;
+  while (in_order < frames && !misordered &&
+         r != FrameDecoder::Result::kError) {
+    const ssize_t n = ::recv(fd, chunk.data(), decoder.free_bytes(), 0);
+    if (n <= 0) break;
+    decoder.feed(chunk.data(), static_cast<std::size_t>(n));
+    while ((r = decoder.next(resp)) == FrameDecoder::Result::kFrame) {
+      if (!resp.response || resp.request_id != in_order) {
+        misordered = true;
+        break;
+      }
+      ++in_order;
+    }
+  }
+  ::close(fd);
+  service.stop_and_drain();
+  server.stop();
+  EXPECT_NE(r, FrameDecoder::Result::kError) << decoder.error();
+  EXPECT_FALSE(misordered) << "response " << in_order << " carried request_id "
+                           << resp.request_id;
+  EXPECT_EQ(in_order, frames);
+  EXPECT_EQ(server.protocol_errors(), 0u);
 }
 
 }  // namespace
