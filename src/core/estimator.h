@@ -76,8 +76,12 @@ class Estimator {
     const std::uint64_t extra = samples % shards_;
     pool_.run(shards_, [&](std::uint64_t i) {
       const std::uint64_t shard_samples = base + (i < extra ? 1 : 0);
+      // The shard draws from a copy in this pool thread's frame: rngs
+      // packs two generators to a cache line, so drawing from rngs[i]
+      // would have two threads' shards write one line on every draw.
+      math::Rng shard_rng = rngs[i];
       parts[i] = per_shard(static_cast<std::uint32_t>(i), shard_samples,
-                           rngs[i]);
+                           shard_rng);
     });
     R acc{};
     for (auto& part : parts) reduce(acc, std::move(part));

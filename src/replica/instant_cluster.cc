@@ -157,17 +157,21 @@ ReadResult InstantCluster::read(VariableId variable) {
 }
 
 void InstantCluster::read_into(ReadResult& result, VariableId variable) {
-  result.replies = 0;
   result.repairs = 0;
-  reply_scratch_.clear();
   draw_quorum(/*is_write=*/false);
+  // Each server writes its reply straight into the next scratch slot,
+  // overwriting whatever an earlier read left there; a server that does
+  // not answer leaves the slot to the next member.
+  std::uint32_t replies = 0;
   draw_mask_.for_each_set_bit([&](quorum::ServerId u) {
-    ReadReply reply;
-    if (servers_[u]->serve_read(ReadRequest{0, variable}, reply)) {
-      reply_scratch_.push_back(reply);
-      ++result.replies;
+    if (replies == reply_scratch_.size()) reply_scratch_.emplace_back();
+    if (servers_[u]->serve_read(ReadRequest{0, variable},
+                                reply_scratch_[replies])) {
+      ++replies;
     }
   });
+  reply_scratch_.resize(replies);
+  result.replies = replies;
   draw_mask_.to_quorum_into(result.quorum);
   result.selection =
       select(config_.mode, reply_scratch_, &verifier_, config_.read_threshold);

@@ -80,19 +80,10 @@ bool Server::apply_write(const WriteRequest& w) {
   return false;
 }
 
-bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
-  reply = ReadReply{};
-  reply.op = r.op;
-  reply.server = id_;
+bool Server::serve_faulty_read(const ReadRequest& r, ReadReply& reply) {
+  reply.has_value = false;
+  reply.record = crypto::SignedRecord{};
   switch (mode_) {
-    case FaultMode::kCorrect: {
-      ++reads_served_;
-      if (const auto* rec = find(r.variable)) {
-        reply.has_value = true;
-        reply.record = *rec;
-      }
-      return true;
-    }
     case FaultMode::kSuppress:
       return false;
     case FaultMode::kStaleReplay: {
@@ -116,28 +107,11 @@ bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
       reply.record = collude_plan_->forged(r.variable);
       return true;
     }
+    case FaultMode::kCorrect:  // served inline by serve_read
     case FaultMode::kCrash:
       break;
   }
   return false;
-}
-
-std::size_t Server::probe(VariableId variable) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t slot =
-      static_cast<std::size_t>((variable * 0x9e3779b97f4a7c15ULL) >> 32) &
-      mask;
-  while (slots_[slot] != 0 &&
-         entries_[slots_[slot] - 1].first.variable != variable) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-const Server::Entry* Server::lookup(VariableId variable) const {
-  if (slots_.empty()) return nullptr;
-  const std::uint32_t index = slots_[probe(variable)];
-  return index == 0 ? nullptr : &entries_[index - 1];
 }
 
 Server::Entry& Server::entry_for(const crypto::SignedRecord& record) {

@@ -52,9 +52,11 @@ class Server {
   // Direct-call entry points for the zero-allocation protocol path
   // (InstantCluster): the same state transitions and fault behaviours as
   // process(), minus the Outbound vector. apply_write returns whether the
-  // server acknowledges; serve_read fills `reply` and returns whether the
-  // server answers at all. process() routes through these, so the wire and
-  // direct paths cannot diverge.
+  // server acknowledges; serve_read overwrites every field of `reply`
+  // (which may hold a previous reply) and returns whether the server
+  // answers at all. A correct server's read is inline (below the class);
+  // the faulty modes are served out of line. process() routes through
+  // these, so the wire and direct paths cannot diverge.
   bool apply_write(const WriteRequest& w);
   bool serve_read(const ReadRequest& r, ReadReply& reply);
 
@@ -118,6 +120,8 @@ class Server {
                     std::vector<Outbound>& out);
   void handle_read(std::uint32_t from, const ReadRequest& r,
                    std::vector<Outbound>& out);
+  // serve_read for every mode but kCorrect; op and server are already set.
+  bool serve_faulty_read(const ReadRequest& r, ReadReply& reply);
 
   // The record store: one entry per variable the server has ever accepted
   // a write or gossip record for. `first` is the first record accepted
@@ -155,6 +159,40 @@ class Server {
   std::uint64_t reads_served_ = 0;
   std::uint64_t writes_superseded_ = 0;
 };
+
+inline std::size_t Server::probe(VariableId variable) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot =
+      static_cast<std::size_t>((variable * 0x9e3779b97f4a7c15ULL) >> 32) &
+      mask;
+  while (slots_[slot] != 0 &&
+         entries_[slots_[slot] - 1].first.variable != variable) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+inline const Server::Entry* Server::lookup(VariableId variable) const {
+  if (slots_.empty()) return nullptr;
+  const std::uint32_t index = slots_[probe(variable)];
+  return index == 0 ? nullptr : &entries_[index - 1];
+}
+
+inline bool Server::serve_read(const ReadRequest& r, ReadReply& reply) {
+  reply.op = r.op;
+  reply.server = id_;
+  if (mode_ != FaultMode::kCorrect) return serve_faulty_read(r, reply);
+  ++reads_served_;
+  const Entry* entry = lookup(r.variable);
+  if (entry != nullptr && entry->has_current) {
+    reply.has_value = true;
+    reply.record = entry->current;
+  } else {
+    reply.has_value = false;
+    reply.record = crypto::SignedRecord{};
+  }
+  return true;
+}
 
 // One counters() entry per server, as a cluster-level snapshot — the
 // shared body of InstantCluster/SimCluster::contention_snapshot (stats

@@ -106,6 +106,35 @@ TEST(InstantCluster, CrashedServersReduceAcks) {
   EXPECT_GE(acks.min(), 2.0);
 }
 
+TEST(InstantCluster, SilentServersLeaveNoEarlierRepliesInTheReadScratch) {
+  // read_into reuses one reply scratch across reads, and a crashed or
+  // suppressing member writes no reply. A read answered by fewer servers
+  // than the read before it must still see only its own replies: here
+  // variable 2 is always written last, so a leftover reply of a read of
+  // variable 2 would outrank every genuine reply of variable 1.
+  InstantCluster::Config cfg;
+  cfg.quorums = majority(9);  // quorum size 5
+  FaultPlan faults = FaultPlan::prefix(9, 2, FaultMode::kCrash);
+  faults.set_mode(2, FaultMode::kSuppress);
+  InstantCluster cluster(cfg, faults);
+  std::uint32_t fewer = 0;
+  for (int i = 1; i <= 200; ++i) {
+    cluster.write(1, i);
+    cluster.write(2, -i);
+    const std::uint32_t previous_replies = cluster.read(2).replies;
+    const auto r = cluster.read(1);
+    std::uint32_t answering = 0;
+    for (const auto u : r.quorum) answering += u >= 3 ? 1 : 0;
+    EXPECT_EQ(r.replies, answering);
+    fewer += r.replies < previous_replies ? 1 : 0;
+    if (r.selection.has_value) {
+      EXPECT_EQ(r.selection.record.variable, 1u) << "read " << i;
+      EXPECT_GT(r.selection.record.value, 0) << "read " << i;
+    }
+  }
+  EXPECT_GT(fewer, 20u);  // the case under test happened often
+}
+
 TEST(InstantCluster, DisseminationDefeatsForgers) {
   const std::uint32_t n = 40, b = 8;
   InstantCluster::Config cfg;

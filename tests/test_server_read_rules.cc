@@ -160,6 +160,82 @@ TEST(Server, GossipRecordsPerMode) {
   }
 }
 
+// serve_read writes into a reply the caller may be reusing (InstantCluster
+// keeps one reply scratch across reads), so every mode must overwrite every
+// field it promises, and a server with nothing to serve must clear the
+// record as well as the flag.
+TEST(Server, ServeReadOverwritesEveryFieldOfAReusedReply) {
+  const auto signer = test_signer();
+  const auto plan = std::make_shared<const ColludePlan>();
+  const auto stored = signer.sign(1, 10, 100, 1);
+  const crypto::SignedRecord zero{};
+  // Reads `variable` into a reply pre-filled with junk in every field and
+  // checks the two fields every mode sets.
+  const auto read_over_junk = [](Server& server, VariableId variable,
+                                 bool& answered) {
+    ReadReply reply;
+    reply.op = 0xdead;
+    reply.server = 0xbeef;
+    reply.has_value = true;
+    reply.record = crypto::SignedRecord{77, -5, 999, 3, 0x1234};
+    answered = server.serve_read(ReadRequest{42, variable}, reply);
+    EXPECT_EQ(reply.op, 42u);
+    EXPECT_EQ(reply.server, server.id());
+    return reply;
+  };
+  for (const FaultMode mode :
+       {FaultMode::kCorrect, FaultMode::kCrash, FaultMode::kSuppress,
+        FaultMode::kStaleReplay, FaultMode::kForge, FaultMode::kCollude}) {
+    SCOPED_TRACE(fault_mode_name(mode));
+    Server server(3, mode, math::Rng(4), plan);
+    server.apply_write(WriteRequest{1, stored});
+    // Variable 1 is stored (or acked); variable 2 never was.
+    for (const VariableId variable : {VariableId{1}, VariableId{2}}) {
+      SCOPED_TRACE(variable);
+      bool answered = false;
+      const ReadReply reply = read_over_junk(server, variable, answered);
+      switch (mode) {
+        case FaultMode::kCorrect:
+        case FaultMode::kStaleReplay:
+          EXPECT_TRUE(answered);
+          EXPECT_EQ(reply.has_value, variable == 1);
+          EXPECT_EQ(reply.record, variable == 1 ? stored : zero);
+          break;
+        case FaultMode::kCrash:
+        case FaultMode::kSuppress:
+          EXPECT_FALSE(answered);
+          EXPECT_FALSE(reply.has_value);
+          EXPECT_EQ(reply.record, zero);
+          break;
+        case FaultMode::kForge:
+          EXPECT_TRUE(answered);
+          EXPECT_TRUE(reply.has_value);
+          EXPECT_EQ(reply.record.variable, variable);
+          EXPECT_GE(reply.record.value, 0);
+          EXPECT_LE(reply.record.timestamp, ~0ULL >> 8);
+          EXPECT_GT(reply.record.timestamp, (~0ULL >> 8) - 1024);
+          EXPECT_EQ(reply.record.writer, 0u);
+          break;
+        case FaultMode::kCollude:
+          EXPECT_TRUE(answered);
+          EXPECT_TRUE(reply.has_value);
+          EXPECT_EQ(reply.record, plan->forged(variable));
+          break;
+      }
+    }
+  }
+  // A healed colluder has an entry for the variable it acked but no
+  // current record.
+  Server healed(5, FaultMode::kCollude, math::Rng(6), plan);
+  healed.apply_write(WriteRequest{1, stored});
+  healed.set_mode(FaultMode::kCorrect);
+  bool answered = false;
+  const ReadReply reply = read_over_junk(healed, 1, answered);
+  EXPECT_TRUE(answered);
+  EXPECT_FALSE(reply.has_value);
+  EXPECT_EQ(reply.record, zero);
+}
+
 // ---- The record store -------------------------------------------------------
 
 ReadReply read_of(Server& server, VariableId variable) {
