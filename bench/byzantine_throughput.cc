@@ -126,18 +126,18 @@ std::vector<SectionSpec> make_sections(std::uint64_t ops) {
 // stream positions, exactly like churn events.
 void inject_faults(const FaultScript& script, serve::KvService& service,
                    std::uint64_t i) {
-  const auto flip_all = [&](serve::FaultKind kind) {
+  const auto flip_all = [&](replica::FaultMode mode) {
     for (std::uint32_t s = 0; s < kShards; ++s) {
       for (std::uint32_t slot = 0; slot < script.colluders; ++slot) {
-        service.submit_fault(s, kind, slot);
+        service.submit_fault(s, mode, slot);
       }
     }
   };
   if (script.inject_at != 0 && i + 1 == script.inject_at) {
-    flip_all(serve::FaultKind::kCollude);
+    flip_all(replica::FaultMode::kCollude);
   }
   if (script.heal_at != 0 && i + 1 == script.heal_at) {
-    flip_all(serve::FaultKind::kCorrect);
+    flip_all(replica::FaultMode::kCorrect);
   }
 }
 

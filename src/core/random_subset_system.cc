@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "core/epsilon.h"
-#include "math/sampling.h"
-#include "quorum/measures.h"
 #include "util/require.h"
 
 namespace pqs::core {
@@ -24,9 +22,7 @@ RandomSubsetSystem::RandomSubsetSystem(std::uint32_t n, std::uint32_t q)
 RandomSubsetSystem::RandomSubsetSystem(std::uint32_t n, std::uint32_t q,
                                        std::uint32_t b, std::uint32_t k,
                                        Regime regime)
-    : n_(n), q_(q), b_(b), k_(k), regime_(regime) {
-  PQS_REQUIRE(n >= 1, "universe size");
-  PQS_REQUIRE(q >= 1 && q <= n, "quorum size");
+    : UniformSubsetSystem(n, q), b_(b), k_(k), regime_(regime) {
   PQS_REQUIRE(b < n, "byzantine threshold");
   // Definitions 4.1 and 5.1 require A(<Q,w>) > b.
   PQS_REQUIRE(regime == Regime::kIntersecting || fault_tolerance() > b,
@@ -82,55 +78,6 @@ std::string RandomSubsetSystem::name() const {
   }
   out += std::string(")[") + regime_name(regime_) + "]";
   return out;
-}
-
-quorum::Quorum RandomSubsetSystem::sample(math::Rng& rng) const {
-  quorum::Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void RandomSubsetSystem::sample_into(quorum::Quorum& out,
-                                     math::Rng& rng) const {
-  math::sample_without_replacement(n_, q_, rng, out);
-}
-
-void RandomSubsetSystem::sample_mask(quorum::QuorumBitset& out,
-                                     math::Rng& rng) const {
-  out.resize(n_);
-  math::sample_without_replacement_bits(n_, q_, rng, out.word_data());
-}
-
-void RandomSubsetSystem::sample_masks(quorum::QuorumBitset* out,
-                                      std::size_t count,
-                                      math::Rng& rng) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(n_);
-    math::sample_without_replacement_bits(n_, q_, rng, out[i].word_data());
-  }
-}
-
-double RandomSubsetSystem::load() const {
-  // Every server appears in C(n-1, q-1) of the C(n, q) quorums, so the
-  // uniform strategy induces load q/n on each (Section 3.4).
-  return static_cast<double>(q_) / static_cast<double>(n_);
-}
-
-double RandomSubsetSystem::failure_probability(double p) const {
-  // All quorums are high quality by symmetry; some quorum is fully alive
-  // iff at least q servers survive.
-  return quorum::size_based_failure_probability(n_, q_, p);
-}
-
-bool RandomSubsetSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  std::uint32_t count = 0;
-  for (bool a : alive) count += a ? 1u : 0u;
-  return count >= q_;
-}
-
-bool RandomSubsetSystem::has_live_quorum_mask(
-    const quorum::QuorumBitset& alive) const {
-  return alive.count() >= q_;
 }
 
 double RandomSubsetSystem::ell() const {

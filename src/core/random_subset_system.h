@@ -8,16 +8,17 @@
 //   * with a read threshold k, the (b, eps)-masking system R_k(n, q)
 //     (Definition 5.6, Theorem 5.10).
 //
-// The construction is symmetric and its strategy uniform, so every quorum is
-// high quality (Section 3.4, "Quality Measures"); the probabilistic fault
-// tolerance is n - q + 1 and the failure probability is the exact binomial
-// tail P(#crashed > n - q).
+// The draws and measures are quorum::UniformSubsetSystem's, shared with the
+// strict threshold systems: the construction is symmetric and its strategy
+// uniform, so every quorum is high quality (Section 3.4, "Quality
+// Measures") and the probabilistic fault tolerance and failure probability
+// equal the strict ones, n - q + 1 and P(#crashed > n - q).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "quorum/quorum_system.h"
+#include "quorum/uniform_subset.h"
 
 namespace pqs::core {
 
@@ -31,7 +32,7 @@ enum class Regime {
 
 const char* regime_name(Regime regime);
 
-class RandomSubsetSystem final : public quorum::QuorumSystem {
+class RandomSubsetSystem final : public quorum::UniformSubsetSystem {
  public:
   // Plain eps-intersecting system R(n, q).
   RandomSubsetSystem(std::uint32_t n, std::uint32_t q);
@@ -51,20 +52,7 @@ class RandomSubsetSystem final : public quorum::QuorumSystem {
   static RandomSubsetSystem with_byzantine(std::uint32_t n, std::uint32_t q,
                                            std::uint32_t b, Regime regime);
 
-  // -- QuorumSystem interface ------------------------------------------
   std::string name() const override;
-  std::uint32_t universe_size() const override { return n_; }
-  quorum::Quorum sample(math::Rng& rng) const override;
-  void sample_into(quorum::Quorum& out, math::Rng& rng) const override;
-  void sample_mask(quorum::QuorumBitset& out, math::Rng& rng) const override;
-  void sample_masks(quorum::QuorumBitset* out, std::size_t count,
-                    math::Rng& rng) const override;
-  std::uint32_t min_quorum_size() const override { return q_; }
-  double load() const override;
-  std::uint32_t fault_tolerance() const override { return n_ - q_ + 1; }
-  double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const quorum::QuorumBitset& alive) const override;
 
   // -- Probabilistic-quorum specifics ------------------------------------
   Regime regime() const { return regime_; }
@@ -87,8 +75,6 @@ class RandomSubsetSystem final : public quorum::QuorumSystem {
   RandomSubsetSystem(std::uint32_t n, std::uint32_t q, std::uint32_t b,
                      std::uint32_t k, Regime regime);
 
-  std::uint32_t n_;
-  std::uint32_t q_;
   std::uint32_t b_;
   std::uint32_t k_;
   Regime regime_;

@@ -85,15 +85,6 @@ struct Tableau {
 
 }  // namespace
 
-const char* lp_status_name(LpStatus status) {
-  switch (status) {
-    case LpStatus::kOptimal: return "optimal";
-    case LpStatus::kInfeasible: return "infeasible";
-    case LpStatus::kUnbounded: return "unbounded";
-  }
-  return "?";
-}
-
 LpResult solve_lp(const std::vector<double>& c,
                   const std::vector<std::vector<double>>& a,
                   const std::vector<double>& b) {

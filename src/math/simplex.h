@@ -26,8 +26,6 @@ enum class LpStatus {
   kUnbounded,   // the objective decreases without bound over the feasible set
 };
 
-const char* lp_status_name(LpStatus status);
-
 struct LpResult {
   LpStatus status = LpStatus::kInfeasible;
   double objective = 0.0;   // c.x at the returned point (kOptimal only)

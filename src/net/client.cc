@@ -13,11 +13,27 @@
 
 namespace pqs::net {
 
+namespace {
+
+// send() flushes a connection's buffer once it holds this many bytes, so
+// one syscall carries many 32-byte frames.
+constexpr std::size_t kFlushBytes = 8192;
+// connect() attempts per connection, and the backoff between them.
+constexpr std::uint32_t kConnectAttempts = 5;
+constexpr std::uint64_t kConnectBackoffNs = 1'000'000;  // first retry delay
+constexpr std::uint64_t kConnectBackoffCapNs = 100'000'000;
+// Backoff before re-sending an expired request.
+constexpr std::uint64_t kRetryBackoffNs = 200'000;  // first retry delay
+constexpr std::uint64_t kRetryBackoffCapNs = 20'000'000;
+// Seed of the backoff-jitter stream.
+constexpr std::uint64_t kRetrySeed = 0x5eedba11u;
+
+}  // namespace
+
 Client::Client(Config config)
-    : config_(std::move(config)), retry_rng_(config_.retry_seed) {
+    : config_(std::move(config)), retry_rng_(kRetrySeed) {
   PQS_REQUIRE(config_.connections >= 1, "client needs connections");
   PQS_REQUIRE(config_.window >= 1, "client needs a pipeline window");
-  PQS_REQUIRE(config_.connect_attempts >= 1, "client needs connect attempts");
 }
 
 Client::~Client() { stop(); }
@@ -36,12 +52,10 @@ void Client::backoff_sleep(std::uint64_t base_ns, std::uint64_t cap_ns,
 }
 
 int Client::connect_with_backoff() {
-  for (std::uint32_t attempt = 0; attempt < config_.connect_attempts;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
     if (attempt > 0) {
       ++connect_retries_;
-      backoff_sleep(config_.connect_backoff_ns,
-                    config_.connect_backoff_cap_ns, attempt - 1);
+      backoff_sleep(kConnectBackoffNs, kConnectBackoffCapNs, attempt - 1);
     }
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     PQS_REQUIRE(fd >= 0, "client socket() failed");
@@ -70,7 +84,7 @@ void Client::start() {
     auto conn = std::make_unique<Conn>();
     conn->fd = connect_with_backoff();
     PQS_REQUIRE(conn->fd >= 0, "client connect() failed after retries");
-    conn->sendbuf.reserve(config_.flush_bytes + kFrameBytes);
+    conn->sendbuf.reserve(kFlushBytes + kFrameBytes);
     conns_.push_back(std::move(conn));
   }
   for (auto& conn : conns_) {
@@ -154,7 +168,7 @@ void Client::send(std::uint64_t key, std::int64_t value, bool is_read,
     op.attempts = 1;
     enqueue_op(conn, idx, op);
     ++sent_;
-    if (conn.sendbuf.size() >= config_.flush_bytes) flush_conn(conn);
+    if (conn.sendbuf.size() >= kFlushBytes) flush_conn(conn);
     return;
   }
 }
@@ -251,8 +265,7 @@ void Client::reap_expired() {
       continue;
     }
     ++retries_;
-    backoff_sleep(config_.retry_backoff_ns, config_.retry_backoff_cap_ns,
-                  op.attempts - 1);
+    backoff_sleep(kRetryBackoffNs, kRetryBackoffCapNs, op.attempts - 1);
     // Prefer a different connection: the one that timed out is suspect.
     bool failover = false;
     const std::uint32_t idx = pick_usable(op.origin + 1, &failover);

@@ -17,11 +17,11 @@
 // order is the wire order, which is the determinism precondition the
 // net_throughput bit-identity gates rely on.
 //
-// Fault tolerance (all opt-in; the defaults preserve the original
-// fail-fast behavior byte for byte, which is what the bit-identity
-// benches run under):
-//   * connect failures retry with jittered capped exponential backoff
-//     (connect_attempts > 1) instead of aborting the run;
+// Fault tolerance. A failed connect() (in start() or a reconnect) is
+// retried with jittered capped exponential backoff, up to five attempts
+// per connection, instead of aborting the run. Request recovery is
+// opt-in; without it the client keeps the original fail-fast behavior
+// byte for byte, which is what the bit-identity benches run under:
 //   * request_timeout_ns > 0 arms a per-request deadline. Expired
 //     requests are reaped on the driver thread (inside the window-full
 //     spin and drain()), retried up to max_retries times under jittered
@@ -31,7 +31,7 @@
 //     the run;
 //   * a failed connection is lazily reconnected by the driver the next
 //     time round-robin lands on it; its in-flight requests are retried.
-// Backoff jitter comes from a dedicated math::Rng stream (retry_seed) —
+// Backoff jitter comes from the client's own fixed-seed math::Rng stream —
 // never from any quorum stream, so client-side fault handling cannot
 // perturb a single quorum draw. All recovery counters are surfaced in
 // stats().
@@ -71,21 +71,11 @@ class Client {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;
     std::uint32_t connections = 1;
-    std::uint32_t window = 512;       // max outstanding per connection
-    std::size_t flush_bytes = 8192;   // coalescing threshold
-    // Connect retry (applies to start() and lazy reconnects): total
-    // attempts per connection before giving up, with jittered exponential
-    // backoff between attempts.
-    std::uint32_t connect_attempts = 5;
-    std::uint64_t connect_backoff_ns = 1'000'000;    // first retry delay
-    std::uint64_t connect_backoff_cap_ns = 100'000'000;
+    std::uint32_t window = 512;  // max outstanding per connection
     // Per-request deadline; 0 (default) disables deadlines, retries, and
     // late-response tolerance — the original strict client.
     std::uint64_t request_timeout_ns = 0;
-    std::uint32_t max_retries = 2;                   // per request
-    std::uint64_t retry_backoff_ns = 200'000;        // first retry delay
-    std::uint64_t retry_backoff_cap_ns = 20'000'000;
-    std::uint64_t retry_seed = 0x5eedba11u;          // backoff jitter rng
+    std::uint32_t max_retries = 2;  // per request
   };
 
   explicit Client(Config config);
@@ -94,7 +84,7 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // Connects every connection (retrying per connect_attempts) and
+  // Connects every connection (retrying a failed connect()) and
   // launches the reader threads; the client clock (now_ns(), the
   // timebase of scheduled_ns) starts here.
   void start();
@@ -159,7 +149,7 @@ class Client {
 
   void flush_conn(Conn& conn);
   void reader_loop(Conn& conn);
-  // connect() with capped jittered backoff; -1 after connect_attempts.
+  // connect() with capped jittered backoff; -1 after the last attempt.
   int connect_with_backoff();
   // Driver-side: index of the first usable connection at or after
   // start_index, lazily reconnecting failed ones; requires one to be

@@ -147,7 +147,6 @@ int EventLoop::wait_timeout_ms() {
 }
 
 void EventLoop::run() {
-  loop_thread_.store(std::this_thread::get_id());
   std::array<epoll_event, 64> events;
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epoll_fd_, events.data(),
@@ -182,7 +181,6 @@ void EventLoop::run() {
   // queued response flush. Pending *timers* are deliberately abandoned
   // (delayed work is best-effort); posted tasks are not.
   run_posted_tasks();
-  loop_thread_.store(std::thread::id{});
 }
 
 void EventLoop::stop() {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -61,10 +60,6 @@ class EventLoop {
   // Thread-safe: makes run() return after the current dispatch round.
   void stop();
 
-  bool in_loop_thread() const {
-    return std::this_thread::get_id() == loop_thread_.load();
-  }
-
  private:
   struct Timer {
     std::uint64_t due_ns;
@@ -82,7 +77,6 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::atomic<bool> stopping_{false};
-  std::atomic<std::thread::id> loop_thread_{};
   std::mutex tasks_mutex_;
   std::vector<std::function<void()>> tasks_;
   std::vector<Timer> timers_;  // min-heap by (due_ns, seq), under tasks_mutex_

@@ -2,17 +2,6 @@
 
 namespace pqs::net {
 
-const char* fault_action_name(FaultAction action) {
-  switch (action) {
-    case FaultAction::kNone: return "none";
-    case FaultAction::kReset: return "reset";
-    case FaultAction::kStall: return "stall";
-    case FaultAction::kTruncate: return "truncate";
-    case FaultAction::kDelay: return "delay";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(Config config)
     : config_(config), rng_(config.seed) {}
 

@@ -5,8 +5,8 @@
 // replace the normal flush with an adversarial one — an abrupt reset, a
 // silent stall (slow-loris from the client's point of view), a frame
 // truncated mid-byte followed by an orderly close, or a delayed flush.
-// This is how the network-tier tests and the byzantine bench exercise the
-// hardened client's deadline/retry/failover machinery against a *real*
+// This is how the network-tier tests (tests/test_net_server.cc) exercise
+// the hardened client's deadline/retry/failover machinery against a *real*
 // socket misbehaving, not a mock.
 //
 // Determinism contract: randomized decisions come from a dedicated
@@ -33,10 +33,8 @@ enum class FaultAction : std::uint8_t {
   kReset,     // SO_LINGER(0) + close: the peer sees ECONNRESET
   kStall,     // queue the response but never flush it (slow-loris)
   kTruncate,  // flush half a frame, then close in an orderly way
-  kDelay,     // flush the response after Config::delay_ns
+  kDelay,     // flush the response after FaultInjector::kDelayNs
 };
-
-const char* fault_action_name(FaultAction action);
 
 class FaultInjector {
  public:
@@ -49,8 +47,10 @@ class FaultInjector {
     double stall_prob = 0.0;
     double truncate_prob = 0.0;
     double delay_prob = 0.0;
-    std::uint64_t delay_ns = 2'000'000;  // kDelay flush deferral
   };
+
+  // How long a kDelay verdict defers the response's flush.
+  static constexpr std::uint64_t kDelayNs = 2'000'000;
 
   FaultInjector() : FaultInjector(Config{}) {}
   explicit FaultInjector(Config config);
@@ -66,8 +66,6 @@ class FaultInjector {
   // Thread-safe (serialized — the stream must stay well-defined when IO
   // threads race).
   FaultAction on_response(std::uint64_t conn_id);
-
-  std::uint64_t delay_ns() const { return config_.delay_ns; }
 
   // How many times each action actually fired (kNone excluded).
   std::uint64_t resets() const { return resets_.load(); }

@@ -19,6 +19,8 @@ namespace pqs::net {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   PQS_REQUIRE(flags >= 0, "fcntl(F_GETFL) failed");
@@ -36,8 +38,8 @@ void set_nodelay(int fd) {
 KvServer::KvServer(Config config, serve::KvService& service)
     : config_(std::move(config)), service_(service) {
   PQS_REQUIRE(config_.io_threads >= 1, "server needs IO threads");
-  PQS_REQUIRE(config_.decoder_capacity >= kFrameBytes,
-              "decoder ring must hold a frame");
+  static_assert(kDecoderCapacity >= kFrameBytes,
+                "decoder ring must hold a frame");
 }
 
 KvServer::~KvServer() { stop(); }
@@ -60,7 +62,7 @@ void KvServer::start() {
   PQS_REQUIRE(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
                      sizeof(addr)) == 0,
               "bind() failed");
-  PQS_REQUIRE(::listen(listen_fd_, config_.backlog) == 0, "listen() failed");
+  PQS_REQUIRE(::listen(listen_fd_, kListenBacklog) == 0, "listen() failed");
   set_nonblocking(listen_fd_);
 
   sockaddr_in bound{};
@@ -129,8 +131,7 @@ void KvServer::accept_ready() {
       return;  // transient accept failure; the listener stays armed
     }
     set_nodelay(fd);
-    auto conn = std::make_shared<Connection>(next_conn_id_++, fd,
-                                             config_.decoder_capacity);
+    auto conn = std::make_shared<Connection>(next_conn_id_++, fd);
     EventLoop* loop = loops_[next_loop_++ % loops_.size()].get();
     conn->loop = loop;
     {
@@ -275,7 +276,9 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
       action == FaultAction::kTruncate ? kFrameBytes / 2 : kFrameBytes;
   {
     std::lock_guard<std::mutex> lock(conn->out_mutex);
+    if (conn->truncated) return;
     conn->out.insert(conn->out.end(), wire, wire + bytes);
+    conn->truncated = action == FaultAction::kTruncate;
   }
   if (action == FaultAction::kStall) {
     // Slow-loris: the bytes sit in the buffer and no flush is ever
@@ -301,8 +304,7 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
       try_write(conn);
     };
     if (action == FaultAction::kDelay) {
-      conn->loop->post_after(config_.fault_injector->delay_ns(),
-                             std::move(flush));
+      conn->loop->post_after(FaultInjector::kDelayNs, std::move(flush));
     } else {
       conn->loop->post(std::move(flush));
     }

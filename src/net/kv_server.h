@@ -54,8 +54,6 @@ class KvServer {
     std::string bind_address = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = ephemeral; see port() after start()
     std::uint32_t io_threads = 1;
-    std::size_t decoder_capacity = 1 << 16;  // per-connection ring bytes
-    int backlog = 128;
     // Borrowed fault-injection seam (nullptr = no injection, zero cost on
     // the response path). When set, every response verdict comes from
     // FaultInjector::on_response and may replace the normal flush with a
@@ -98,9 +96,12 @@ class KvServer {
   }
 
  private:
+  // Bytes of each connection's decoder ring.
+  static constexpr std::size_t kDecoderCapacity = 1 << 16;
+
   struct Connection {
-    Connection(std::uint64_t id_, int fd_, std::size_t decoder_capacity)
-        : id(id_), fd(fd_), decoder(decoder_capacity) {}
+    Connection(std::uint64_t id_, int fd_)
+        : id(id_), fd(fd_), decoder(kDecoderCapacity) {}
     const std::uint64_t id;
     const int fd;
     EventLoop* loop = nullptr;  // the IO thread that owns this socket
@@ -114,6 +115,10 @@ class KvServer {
     // collapses a burst of completions into one posted flush task.
     std::mutex out_mutex;
     std::vector<unsigned char> out;
+    // Set, under out_mutex, with the append of a kTruncate half frame. The
+    // stream ends there: later responses append and post nothing, or the
+    // peer would read a misaligned stream, not a partial frame and EOF.
+    bool truncated = false;
     std::vector<unsigned char> sending;  // loop-thread-only
     std::size_t sending_offset = 0;      // written prefix of `sending`
     bool want_write = false;             // EPOLLOUT armed (loop-thread-only)

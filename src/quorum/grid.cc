@@ -57,12 +57,6 @@ std::string GridSystem::name() const {
          ",d=" + std::to_string(d_) + ")";
 }
 
-Quorum GridSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
 void GridSystem::sample_into(Quorum& out, math::Rng& rng) const {
   // Scratch persists across draws so the hot loop never allocates.
   static thread_local std::vector<std::uint32_t> row_ids;

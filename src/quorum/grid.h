@@ -34,7 +34,6 @@ class GridSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override { return rows_ * cols_; }
-  Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   void sample_masks(QuorumBitset* out, std::size_t count,

@@ -2,33 +2,15 @@
 
 namespace pqs::quorum {
 
-void QuorumSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  // Scratch persists across draws so the fallback never allocates in
-  // steady state.
-  static thread_local QuorumBitset mask;
-  mask.resize(universe_size());
-  sample_mask(mask, rng);
-  mask.to_quorum_into(out);
-}
-
-void QuorumSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
-  out.resize(universe_size());
-  for (ServerId u : sample(rng)) out.set(u);
+Quorum QuorumSystem::sample(math::Rng& rng) const {
+  Quorum q;
+  sample_into(q, rng);
+  return q;
 }
 
 void QuorumSystem::sample_masks(QuorumBitset* out, std::size_t count,
                                 math::Rng& rng) const {
   for (std::size_t i = 0; i < count; ++i) sample_mask(out[i], rng);
-}
-
-bool QuorumSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
-  static thread_local std::vector<bool> scratch;
-  const std::uint32_t n = universe_size();
-  scratch.assign(n, false);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if (alive.test(u)) scratch[u] = true;
-  }
-  return has_live_quorum(scratch);
 }
 
 }  // namespace pqs::quorum

@@ -34,24 +34,23 @@ class QuorumSystem {
 
   // Draws one quorum according to the system's access strategy w.
   //
-  // The three draw paths form a hierarchy — sample() (allocating) →
-  // sample_into() (sorted vector, caller scratch) → sample_mask() (bitset,
-  // no ordering) — and for any fixed rng state all three yield the same
-  // member set while consuming the same rng draws, so they are freely
-  // interchangeable inside seeded experiments.
-  virtual Quorum sample(math::Rng& rng) const = 0;
+  // Every construction implements two draws, and for any fixed rng state
+  // both yield the same member set while consuming the same rng draws, so
+  // they are freely interchangeable inside seeded experiments:
+  // sample_into() is the sorted reference, and sample_mask() the fast path
+  // the protocol stack and the estimators draw with. sample() is
+  // sample_into() into a fresh vector.
+  virtual Quorum sample(math::Rng& rng) const;
 
-  // Draws one quorum into `out` (overwritten, sorted). Constructions
-  // override this with an allocation-free fast path; the default expands a
-  // sample_mask() draw back into sorted ids.
-  virtual void sample_into(Quorum& out, math::Rng& rng) const;
+  // Draws one quorum into `out` (overwritten, sorted; no allocation once
+  // `out` has the capacity).
+  virtual void sample_into(Quorum& out, math::Rng& rng) const = 0;
 
   // Draws one quorum as a bitset: `out` is resized to the universe and
   // holds exactly the members of the drawn quorum. This is the native
   // representation of the Monte-Carlo hot loops — constructions set bits
-  // (or whole words) directly, skipping the sorted-vector round trip. The
-  // default copies a sample() draw.
-  virtual void sample_mask(QuorumBitset& out, math::Rng& rng) const;
+  // (or whole words) directly, skipping the sorted-vector round trip.
+  virtual void sample_mask(QuorumBitset& out, math::Rng& rng) const = 0;
 
   /// Draws `count` quorums into out[0..count), in draw order.
   ///
@@ -93,11 +92,9 @@ class QuorumSystem {
   virtual bool has_live_quorum(const std::vector<bool>& alive) const = 0;
 
   // As above over a bitset (alive.universe_size() == universe_size()), so
-  // the failure-probability hot loop stays word-parallel end to end.
-  // Constructions override with word loops; the default expands to a
-  // vector<bool> and answers via has_live_quorum. Both overloads must
-  // agree on every mask.
-  virtual bool has_live_quorum_mask(const QuorumBitset& alive) const;
+  // the failure-probability hot loop stays word-parallel end to end. Both
+  // overloads must agree on every mask.
+  virtual bool has_live_quorum_mask(const QuorumBitset& alive) const = 0;
 };
 
 }  // namespace pqs::quorum

@@ -88,12 +88,6 @@ std::string SetSystem::name() const {
          ",m=" + std::to_string(quorums_.size()) + ")";
 }
 
-Quorum SetSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
 std::size_t SetSystem::sample_index(math::Rng& rng) const {
   const double u = rng.uniform();
   const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);

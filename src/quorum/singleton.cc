@@ -14,8 +14,6 @@ std::string SingletonSystem::name() const {
   return "singleton(n=" + std::to_string(n_) + ")";
 }
 
-Quorum SingletonSystem::sample(math::Rng&) const { return {center_}; }
-
 void SingletonSystem::sample_into(Quorum& out, math::Rng&) const {
   out.clear();
   out.push_back(center_);

@@ -20,7 +20,6 @@ class SingletonSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   std::uint32_t min_quorum_size() const override { return 1; }

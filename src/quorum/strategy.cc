@@ -280,10 +280,6 @@ std::string Strategy::name() const {
          ",base=" + base_->name() + ")";
 }
 
-Quorum Strategy::sample(math::Rng& rng) const {
-  return read_quorums_[draw_read_index(rng)];
-}
-
 void Strategy::sample_into(Quorum& out, math::Rng& rng) const {
   out = read_quorums_[draw_read_index(rng)];
 }

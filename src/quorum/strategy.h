@@ -123,7 +123,6 @@ class Strategy final : public QuorumSystem {
   // ---- QuorumSystem (the generic face draws the READ distribution) ----
   std::string name() const override;
   std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   void sample_masks(QuorumBitset* out, std::size_t count,

@@ -1,15 +1,11 @@
 #include "quorum/threshold.h"
 
-#include "math/sampling.h"
-#include "quorum/measures.h"
 #include "util/require.h"
 
 namespace pqs::quorum {
 
 ThresholdSystem::ThresholdSystem(std::uint32_t n, std::uint32_t q)
-    : n_(n), q_(q) {
-  PQS_REQUIRE(n >= 1, "threshold universe size");
-  PQS_REQUIRE(q >= 1 && q <= n, "threshold quorum size");
+    : UniformSubsetSystem(n, q) {
   PQS_REQUIRE(2 * q > n, "threshold system requires 2q > n for intersection");
 }
 
@@ -31,51 +27,6 @@ ThresholdSystem ThresholdSystem::masking(std::uint32_t n, std::uint32_t b) {
 std::string ThresholdSystem::name() const {
   return "threshold(n=" + std::to_string(n_) + ",q=" + std::to_string(q_) +
          ")";
-}
-
-Quorum ThresholdSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
-void ThresholdSystem::sample_into(Quorum& out, math::Rng& rng) const {
-  math::sample_without_replacement(n_, q_, rng, out);
-}
-
-void ThresholdSystem::sample_mask(QuorumBitset& out, math::Rng& rng) const {
-  out.resize(n_);
-  math::sample_without_replacement_bits(n_, q_, rng, out.word_data());
-}
-
-void ThresholdSystem::sample_masks(QuorumBitset* out, std::size_t count,
-                                   math::Rng& rng) const {
-  // One virtual call per batch; the fill itself is the non-virtual Floyd
-  // draw, so the loop body is identical to sample_mask per element.
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i].resize(n_);
-    math::sample_without_replacement_bits(n_, q_, rng, out[i].word_data());
-  }
-}
-
-double ThresholdSystem::load() const {
-  // Uniform strategy over all q-subsets: every server carries load q/n,
-  // which attains the Naor-Wool optimum for this set system.
-  return static_cast<double>(q_) / static_cast<double>(n_);
-}
-
-double ThresholdSystem::failure_probability(double p) const {
-  return size_based_failure_probability(n_, q_, p);
-}
-
-bool ThresholdSystem::has_live_quorum(const std::vector<bool>& alive) const {
-  std::uint32_t count = 0;
-  for (bool a : alive) count += a ? 1u : 0u;
-  return count >= q_;
-}
-
-bool ThresholdSystem::has_live_quorum_mask(const QuorumBitset& alive) const {
-  return alive.count() >= q_;
 }
 
 }  // namespace pqs::quorum

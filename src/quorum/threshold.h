@@ -1,8 +1,10 @@
 // Threshold (voting) quorum systems.
 //
 // The classic strict construction: quorums are all subsets of size q with
-// 2q > n, accessed uniformly at random. Includes the Byzantine variants of
-// Malkhi & Reiter [MR98a] used as baselines throughout Section 6:
+// 2q > n, accessed uniformly at random. Its draws and measures are
+// UniformSubsetSystem's, shared with the paper's R(n, q). Includes the
+// Byzantine variants of Malkhi & Reiter [MR98a] used as baselines
+// throughout Section 6:
 //   majority:            q = ceil((n+1)/2)      (pairwise intersection >= 1)
 //   b-dissemination:     q = ceil((n+b+1)/2)    (intersection >= b+1)
 //   b-masking:           q = ceil((n+2b+1)/2)   (intersection >= 2b+1)
@@ -11,11 +13,11 @@
 #include <cstdint>
 #include <string>
 
-#include "quorum/quorum_system.h"
+#include "quorum/uniform_subset.h"
 
 namespace pqs::quorum {
 
-class ThresholdSystem final : public QuorumSystem {
+class ThresholdSystem final : public UniformSubsetSystem {
  public:
   // Quorums are all q-subsets of an n-universe. Requires 1 <= q <= n and
   // 2q > n (so that the system is a strict quorum system).
@@ -29,25 +31,9 @@ class ThresholdSystem final : public QuorumSystem {
   static ThresholdSystem masking(std::uint32_t n, std::uint32_t b);
 
   std::string name() const override;
-  std::uint32_t universe_size() const override { return n_; }
-  Quorum sample(math::Rng& rng) const override;
-  void sample_into(Quorum& out, math::Rng& rng) const override;
-  void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
-  void sample_masks(QuorumBitset* out, std::size_t count,
-                    math::Rng& rng) const override;
-  std::uint32_t min_quorum_size() const override { return q_; }
-  double load() const override;
-  std::uint32_t fault_tolerance() const override { return n_ - q_ + 1; }
-  double failure_probability(double p) const override;
-  bool has_live_quorum(const std::vector<bool>& alive) const override;
-  bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
   // Guaranteed |Q ∩ Q'| >= 2q - n for any two quorums.
   std::uint32_t min_pairwise_intersection() const { return 2 * q_ - n_; }
-
- private:
-  std::uint32_t n_;
-  std::uint32_t q_;
 };
 
 }  // namespace pqs::quorum

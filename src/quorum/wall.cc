@@ -31,12 +31,6 @@ std::string WallSystem::name() const {
          ",n=" + std::to_string(n_) + ")";
 }
 
-Quorum WallSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
 void WallSystem::sample_into(Quorum& out, math::Rng& rng) const {
   const std::uint32_t d = rows();
   const std::uint32_t chosen =

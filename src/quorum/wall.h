@@ -33,7 +33,6 @@ class WallSystem final : public QuorumSystem {
   std::uint32_t universe_size() const override { return n_; }
   // Strategy: chosen row uniform over rows; representatives uniform within
   // each lower row, independently.
-  Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   // min_i (w_i + d - 1 - i)  (0-based rows).

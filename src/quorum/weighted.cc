@@ -55,12 +55,6 @@ std::uint32_t WeightedVotingSystem::universe_size() const {
   return static_cast<std::uint32_t>(votes_.size());
 }
 
-Quorum WeightedVotingSystem::sample(math::Rng& rng) const {
-  Quorum q;
-  sample_into(q, rng);
-  return q;
-}
-
 void WeightedVotingSystem::sample_into(Quorum& out, math::Rng& rng) const {
   // Scratch persists across draws so the hot loop never allocates. The
   // final sort orders the *members* (the sorted-quorum invariant of the

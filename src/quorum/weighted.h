@@ -33,7 +33,6 @@ class WeightedVotingSystem final : public QuorumSystem {
 
   std::string name() const override;
   std::uint32_t universe_size() const override;
-  Quorum sample(math::Rng& rng) const override;
   void sample_into(Quorum& out, math::Rng& rng) const override;
   void sample_mask(QuorumBitset& out, math::Rng& rng) const override;
   // Fewest servers that can reach T (greedy by descending votes;
@@ -51,7 +50,6 @@ class WeightedVotingSystem final : public QuorumSystem {
   bool has_live_quorum(const std::vector<bool>& alive) const override;
   bool has_live_quorum_mask(const QuorumBitset& alive) const override;
 
-  std::uint32_t total_votes() const { return total_votes_; }
   std::uint32_t threshold() const { return threshold_; }
   const std::vector<std::uint32_t>& votes() const { return votes_; }
 

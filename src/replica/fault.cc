@@ -1,6 +1,5 @@
 #include "replica/fault.h"
 
-#include "math/sampling.h"
 #include "util/require.h"
 
 namespace pqs::replica {
@@ -15,16 +14,6 @@ const char* fault_mode_name(FaultMode mode) {
     case FaultMode::kCollude: return "collude";
   }
   return "?";
-}
-
-bool is_byzantine(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kCorrect:
-    case FaultMode::kCrash:
-      return false;
-    default:
-      return true;
-  }
 }
 
 crypto::SignedRecord ColludePlan::forged(VariableId variable) const {
@@ -49,44 +38,9 @@ FaultPlan FaultPlan::prefix(std::uint32_t n, std::uint32_t count,
   return plan;
 }
 
-FaultPlan FaultPlan::random(std::uint32_t n, std::uint32_t count,
-                            FaultMode mode, math::Rng& rng) {
-  PQS_REQUIRE(count <= n, "more faults than servers");
-  FaultPlan plan(n);
-  // Draw the faulty set as a bitmask (thread-local scratch, reused across
-  // plans) instead of a fresh sorted vector; same subset, same rng stream.
-  static thread_local std::vector<std::uint64_t> words;
-  words.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-  math::sample_without_replacement_bits(n, count, rng, words.data());
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if ((words[u >> 6] >> (u & 63)) & 1ULL) plan.modes_[u] = mode;
-  }
-  return plan;
-}
-
 void FaultPlan::set_mode(std::uint32_t server, FaultMode mode) {
   PQS_REQUIRE(server < modes_.size(), "server id");
   modes_[server] = mode;
-}
-
-std::uint32_t FaultPlan::count(FaultMode mode) const {
-  std::uint32_t c = 0;
-  for (auto m : modes_) c += (m == mode) ? 1u : 0u;
-  return c;
-}
-
-std::uint32_t FaultPlan::byzantine_count() const {
-  std::uint32_t c = 0;
-  for (auto m : modes_) c += is_byzantine(m) ? 1u : 0u;
-  return c;
-}
-
-std::vector<std::uint32_t> FaultPlan::servers_with(FaultMode mode) const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < modes_.size(); ++i) {
-    if (modes_[i] == mode) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace pqs::replica

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "math/rng.h"
 #include "replica/message.h"
 
 namespace pqs::replica {
@@ -39,7 +38,6 @@ enum class FaultMode : std::uint8_t {
 };
 
 const char* fault_mode_name(FaultMode mode);
-bool is_byzantine(FaultMode mode);
 
 // The value colluders agree to push (shared by every kCollude server).
 struct ColludePlan {
@@ -56,24 +54,18 @@ class FaultPlan {
   // All-correct plan.
   explicit FaultPlan(std::uint32_t n);
 
-  // The first `count` servers get `mode`. Random placement is statistically
-  // identical for the uniform constructions (symmetry) and keeps tests
-  // deterministic.
+  // The first `count` servers get `mode`. Under the uniform constructions
+  // (threshold, R(n, q)) every placement of the faulty servers is
+  // statistically identical by symmetry, so the prefix loses no
+  // generality there.
   static FaultPlan prefix(std::uint32_t n, std::uint32_t count,
                           FaultMode mode);
-  // `count` servers chosen uniformly at random get `mode`.
-  static FaultPlan random(std::uint32_t n, std::uint32_t count,
-                          FaultMode mode, math::Rng& rng);
 
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(modes_.size());
   }
   FaultMode mode(std::uint32_t server) const { return modes_.at(server); }
   void set_mode(std::uint32_t server, FaultMode mode);
-
-  std::uint32_t count(FaultMode mode) const;
-  std::uint32_t byzantine_count() const;
-  std::vector<std::uint32_t> servers_with(FaultMode mode) const;
 
  private:
   std::vector<FaultMode> modes_;

@@ -22,7 +22,7 @@ InstantCluster::InstantCluster(Config config)
 
 InstantCluster::InstantCluster(Config config, FaultPlan faults)
     : config_(std::move(config)),
-      signer_(crypto::Signer::from_seed(config_.writer_key_seed)),
+      signer_(crypto::Signer::from_seed(kWriterKeySeed)),
       verifier_(signer_.key()),
       rng_(config_.seed),
       churn_rng_(config_.churn_seed),

@@ -45,7 +45,6 @@ class InstantCluster {
     ReadMode mode = ReadMode::kPlain;
     std::uint32_t read_threshold = 1;  // masking k
     std::uint64_t seed = 1;
-    std::uint64_t writer_key_seed = 0x517e9a11;
     // Dynamic membership (timed quorums). When set, the quorum system's
     // universe becomes a fixed *slot capacity* and quorum draws become
     // uniform q-subsets (q = quorums->min_quorum_size()) of the cluster's

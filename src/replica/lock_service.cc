@@ -13,7 +13,6 @@ LockService::Outcome LockService::try_acquire(VariableId lock,
     return Outcome::kAlreadyHeld;
   }
   cluster_.write(lock, static_cast<std::int64_t>(owner));
-  ++acquires_;
   return Outcome::kAcquired;
 }
 

@@ -42,12 +42,10 @@ class LockService {
   // Probes the lock state (0 = free / unknown).
   std::uint32_t holder(VariableId lock);
 
-  std::uint64_t acquires() const { return acquires_; }
   std::uint64_t rejections() const { return rejections_; }
 
  private:
   InstantCluster& cluster_;
-  std::uint64_t acquires_ = 0;
   std::uint64_t rejections_ = 0;
 };
 

@@ -13,6 +13,10 @@ namespace pqs::replica {
 using OpId = std::uint64_t;
 using VariableId = std::uint64_t;
 
+// Seed of the writer key (crypto::Signer::from_seed) that InstantCluster
+// and SimCluster sign records with and verify them against.
+inline constexpr std::uint64_t kWriterKeySeed = 0x517e9a11;
+
 struct WriteRequest {
   OpId op = 0;
   crypto::SignedRecord record;

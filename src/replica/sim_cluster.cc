@@ -40,7 +40,7 @@ SimCluster::SimCluster(Config config, FaultPlan faults)
     });
   }
 
-  const auto signer = crypto::Signer::from_seed(config_.writer_key_seed);
+  const auto signer = crypto::Signer::from_seed(kWriterKeySeed);
   if (config_.verify_gossip) {
     for (auto& server : servers_) {
       server->set_gossip_verifier(crypto::Verifier(signer.key()));

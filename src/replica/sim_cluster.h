@@ -32,7 +32,6 @@ class SimCluster {
     sim::LatencyModel latency;
     sim::Time client_timeout = 1'000'000;
     std::uint64_t seed = 1;
-    std::uint64_t writer_key_seed = 0x517e9a11;
     std::uint32_t clients = 1;
     // Correct servers verify gossip-path records against the writer MAC
     // before adoption (Byzantine-safe diffusion, [MMR99]).

@@ -9,6 +9,9 @@ namespace pqs::serve {
 
 namespace {
 
+// Most requests a worker takes from one ring per dequeue.
+constexpr std::size_t kDequeueBatch = 64;
+
 // SplitMix64 finalizer: the router hash. Any fixed bijective mixer works;
 // this one is already the library's seeding primitive, so shard placement
 // is reproducible everywhere for free.
@@ -17,19 +20,6 @@ inline std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-inline replica::FaultMode fault_mode_of(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCorrect: return replica::FaultMode::kCorrect;
-    case FaultKind::kCrash: return replica::FaultMode::kCrash;
-    case FaultKind::kSuppress: return replica::FaultMode::kSuppress;
-    case FaultKind::kStaleReplay: return replica::FaultMode::kStaleReplay;
-    case FaultKind::kForge: return replica::FaultMode::kForge;
-    case FaultKind::kCollude: return replica::FaultMode::kCollude;
-    case FaultKind::kNone: break;
-  }
-  return replica::FaultMode::kCorrect;
 }
 
 }  // namespace
@@ -42,7 +32,6 @@ KvService::KvService(Config config) : config_(std::move(config)) {
     if (config_.quorums == nullptr) config_.quorums = config_.strategy;
   }
   PQS_REQUIRE(config_.quorums != nullptr, "service needs a quorum system");
-  PQS_REQUIRE(config_.batch >= 1, "dequeue batch");
   config_.workers = std::max<std::uint32_t>(
       1, std::min(config_.workers, config_.shards));
   shards_.reserve(config_.shards);
@@ -126,13 +115,12 @@ void KvService::submit_churn(std::uint32_t shard, ChurnKind kind,
   while (!ring.try_push(request)) std::this_thread::yield();
 }
 
-void KvService::submit_fault(std::uint32_t shard, FaultKind kind,
+void KvService::submit_fault(std::uint32_t shard, replica::FaultMode mode,
                              std::uint64_t slot) {
-  PQS_REQUIRE(kind != FaultKind::kNone, "fault kind");
   PQS_REQUIRE(slot < config_.quorums->universe_size(), "fault slot");
   Request request;
   request.key = slot;
-  request.fault = kind;
+  request.fault = mode;
   util::MpscRing<Request>& ring = shards_.at(shard)->ring;
   while (!ring.try_push(request)) std::this_thread::yield();
 }
@@ -172,7 +160,7 @@ std::uint64_t KvService::now_ns() const {
 
 void KvService::worker_loop(std::uint32_t worker) {
   // One dequeue buffer per worker, allocated before the hot loop.
-  std::vector<Request> batch(config_.batch);
+  std::vector<Request> batch(kDequeueBatch);
   const std::uint32_t step = config_.workers;
   for (;;) {
     bool progress = false;
@@ -203,11 +191,11 @@ void KvService::worker_loop(std::uint32_t worker) {
 
 void KvService::process(Shard& shard, const Request& request) {
   ShardAggregate& agg = shard.aggregate;
-  if (request.fault != FaultKind::kNone) {
+  if (request.fault.has_value()) {
     // Fault flip at this FIFO position. Like churn: control traffic, so
     // no latency record and no completion.
     shard.cluster->server(static_cast<std::uint32_t>(request.key))
-        .set_mode(fault_mode_of(request.fault));
+        .set_mode(*request.fault);
     ++agg.fault_events;
     return;
   }
@@ -295,10 +283,6 @@ std::ostream& operator<<(std::ostream& os, const ShardAggregate& a) {
   return os << "}";
 }
 
-const ShardAggregate& KvService::shard_aggregate(std::uint32_t shard) const {
-  return shards_.at(shard)->aggregate;
-}
-
 ShardAggregate KvService::fold_aggregates() const {
   ShardAggregate total;
   for (const auto& shard : shards_) total += shard->aggregate;
@@ -310,11 +294,6 @@ std::vector<ShardAggregate> KvService::aggregates() const {
   all.reserve(shards_.size());
   for (const auto& shard : shards_) all.push_back(shard->aggregate);
   return all;
-}
-
-const stats::LatencyHistogram& KvService::shard_histogram(
-    std::uint32_t shard) const {
-  return shards_.at(shard)->histogram;
 }
 
 stats::LatencyHistogram KvService::merged_histogram() const {

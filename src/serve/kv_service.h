@@ -55,23 +55,6 @@ namespace pqs::serve {
 // slot in Request::key.
 enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
 
-// Fault-mode flips ride the shard rings the same way churn does: an
-// in-band request that switches the FaultMode of the server in
-// Request::key at a definite FIFO position in the shard's request
-// subsequence. Adversarial scenarios are therefore deterministic and
-// replayable — the same submission order produces bit-identical
-// aggregates at any worker count. The kinds
-// mirror replica::FaultMode one-for-one (kCorrect heals a server).
-enum class FaultKind : std::uint8_t {
-  kNone = 0,
-  kCorrect,
-  kCrash,
-  kSuppress,
-  kStaleReplay,
-  kForge,
-  kCollude,
-};
-
 // One routed request. scheduled_ns is the open-loop arrival deadline
 // relative to the service epoch (service_now_ns() clock); latency is
 // measured from it at completion. ctx/request_id are opaque words the
@@ -86,7 +69,13 @@ struct Request {
   bool is_read = false;
   bool wants_reply = false;  // invoke the completion hook for this request
   ChurnKind churn = ChurnKind::kNone;
-  FaultKind fault = FaultKind::kNone;  // key = the server slot to flip
+  // Fault-mode flips ride the shard rings the same way churn does: when
+  // set, the request switches the server in `key` to this mode
+  // (kCorrect heals it) at a definite FIFO position in the shard's
+  // request subsequence. Adversarial scenarios are therefore
+  // deterministic and replayable — the same submission order produces
+  // bit-identical aggregates at any worker count.
+  std::optional<replica::FaultMode> fault;
 };
 
 // What the completion hook learns about one finished request: the opaque
@@ -157,7 +146,6 @@ class KvService {
     // Clamped to [1, shards].
     std::uint32_t workers = 1;
     std::size_t queue_capacity = 4096;  // per-shard ring slots
-    std::size_t batch = 64;             // max requests per dequeue
     std::shared_ptr<const quorum::QuorumSystem> quorums;
     std::uint64_t seed = 1;  // shard s cluster seed derives from this
     // Dynamic membership on every shard cluster (see
@@ -238,12 +226,13 @@ class KvService {
   // bit-identity contract. Requires Config::dynamic_membership.
   void submit_churn(std::uint32_t shard, ChurnKind kind, std::uint64_t arg = 0);
 
-  // Enqueues a fault-mode flip for server `slot` on `shard` as an in-band
+  // Enqueues a flip of server `slot` on `shard` to `mode` as an in-band
   // request (spins like submit when the ring is full). The flip applies
   // at its FIFO position in the shard's request subsequence, exactly like
   // churn — so adversarial runs keep the bit-identity contract: the same
   // submission order yields the same aggregates at any worker count.
-  void submit_fault(std::uint32_t shard, FaultKind kind, std::uint64_t slot);
+  void submit_fault(std::uint32_t shard, replica::FaultMode mode,
+                    std::uint64_t slot);
 
   // Flags shutdown, waits for every ring to drain, joins the workers.
   // All submits must have completed before the call. The service may be
@@ -260,10 +249,8 @@ class KvService {
   std::uint64_t now_ns() const;
 
   // Post-drain observability (valid after stop_and_drain()).
-  const ShardAggregate& shard_aggregate(std::uint32_t shard) const;
   ShardAggregate fold_aggregates() const;
   std::vector<ShardAggregate> aggregates() const;
-  const stats::LatencyHistogram& shard_histogram(std::uint32_t shard) const;
   stats::LatencyHistogram merged_histogram() const;
   // Per-server protocol counters folded across shard clusters (shards are
   // iid replicas of one universe, so merging by server id is the fold).

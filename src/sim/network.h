@@ -59,8 +59,6 @@ class Network {
     handlers_[node] = std::move(handler);
   }
 
-  std::size_t node_count() const { return handlers_.size(); }
-
   // Severs connectivity in both directions between the two groups.
   void partition(std::vector<NodeId> group_a, std::vector<NodeId> group_b) {
     partitions_.push_back({std::move(group_a), std::move(group_b)});
@@ -95,8 +93,6 @@ class Network {
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_delivered() const { return delivered_; }
   std::uint64_t messages_dropped() const { return dropped_; }
-  // Arena high-water mark: the most messages ever simultaneously in flight.
-  std::size_t message_pool_size() const { return pool_.size(); }
 
  private:
   struct Partition {

@@ -17,7 +17,6 @@ bool Simulator::step() {
   Event ev = queue_.top();
   queue_.pop();
   now_ = ev.at;
-  ++processed_;
   ev.fn();
   return true;
 }

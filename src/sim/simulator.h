@@ -40,7 +40,6 @@ class Simulator {
   // event.
   bool run_while(const std::function<bool()>& pending);
 
-  std::uint64_t events_processed() const { return processed_; }
   bool idle() const { return queue_.empty(); }
 
  private:
@@ -60,7 +59,6 @@ class Simulator {
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t processed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
 };
 

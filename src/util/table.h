@@ -32,8 +32,6 @@ class TextTable {
   // Scientific notation (for probabilities spanning many decades).
   TextTable& cell_sci(double value, int precision = 3);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   // Renders with a header rule. `indent` spaces prefix every line.
   std::string render(int indent = 0) const;
   void print(std::ostream& os, int indent = 0) const;

@@ -356,9 +356,7 @@ TEST(KvServerFaults, DelayedResponsesCompleteWithoutDeadlines) {
   // loses nothing, so even the strict legacy client (no deadlines, any
   // anomaly fatal) must see every response — this pins the timer path as
   // a pure reordering-free delay.
-  FaultInjector::Config fcfg;
-  fcfg.delay_ns = 2'000'000;
-  FaultInjector injector(fcfg);
+  FaultInjector injector;
   injector.set_action(1, FaultAction::kDelay);
 
   serve::KvService service(service_config(2, 2));
@@ -491,6 +489,46 @@ bool read_frame(int fd, FrameDecoder& decoder, Frame& out) {
     if (n <= 0) return false;
     decoder.feed(buf, static_cast<std::size_t>(n));
   }
+}
+
+TEST(KvServerFaults, TruncateEndsTheStreamMidFrame) {
+  // Every response on connection 1 is judged kTruncate. The first one's
+  // half frame must be the last byte on the wire, then EOF: completions
+  // that land before the posted close must not follow it. A deep
+  // pipeline against small rings keeps the IO thread busy submitting
+  // while the workers complete, which is what opens that window.
+  FaultInjector injector;
+  injector.set_action(1, FaultAction::kTruncate);
+  serve::KvService service(service_config(2, 2));
+  KvServer::Config server_cfg;
+  server_cfg.fault_injector = &injector;
+  KvServer server(server_cfg, service);
+  server.start();
+  service.start();
+
+  constexpr std::size_t kFrames = 1024;
+  std::vector<unsigned char> wire(kFrames * kFrameBytes);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    Frame put;
+    put.op = Op::kPut;
+    put.request_id = i + 1;
+    put.key = i % 31;
+    put.value = static_cast<std::int64_t>(i);
+    encode_frame(put, wire.data() + i * kFrameBytes);
+  }
+  const int fd = raw_connect(server.port());
+  send_all(fd, wire.data(), wire.size());
+  std::size_t received = 0;
+  unsigned char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    received += static_cast<std::size_t>(n);
+  }
+  EXPECT_EQ(n, 0);  // orderly close
+  EXPECT_EQ(received, kFrameBytes / 2);
+  ::close(fd);
+  service.stop_and_drain();
+  server.stop();
 }
 
 TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {

@@ -317,14 +317,14 @@ TEST(KvService, ByzantineFaultsUnderChurnKeepReadYourWrites) {
   for (std::uint64_t key = 0; key < 20; ++key) write(key);
   // Slot 3 starts forging mid-stream; reads keep consulting it (9 of 15
   // live servers per quorum) and must discard its fabrications.
-  service.submit_fault(0, FaultKind::kForge, 3);
+  service.submit_fault(0, replica::FaultMode::kForge, 3);
   for (std::uint64_t key = 0; key < 20; ++key) {
     write(20 + key);
     read(key);
   }
   service.submit_churn(0, ChurnKind::kJoin, 15);  // epoch 1, live 16
   for (std::uint64_t key = 0; key < 40; ++key) read(key);
-  service.submit_fault(0, FaultKind::kCorrect, 3);  // slot 3 heals
+  service.submit_fault(0, replica::FaultMode::kCorrect, 3);  // slot 3 heals
   service.submit_churn(0, ChurnKind::kLeave, 15);   // epoch 2, live 15
   for (std::uint64_t key = 0; key < 40; ++key) read(key);
   service.stop_and_drain();
@@ -367,8 +367,8 @@ TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
       if (i % 250 == 249) {
         const auto flip = i / 250;
         service.submit_fault(static_cast<std::uint32_t>(flip % 4),
-                             (flip % 2) == 0 ? FaultKind::kForge
-                                             : FaultKind::kCorrect,
+                             (flip % 2) == 0 ? replica::FaultMode::kForge
+                                             : replica::FaultMode::kCorrect,
                              flip % 3);
       }
     });
@@ -396,8 +396,9 @@ TEST(KvService, ByzantineChurnAggregatesMatchGoldensAtEveryWorkerCount) {
 // at every worker count.
 TEST(KvService, MaskingAggregatesMatchGoldensAtEveryWorkerCount) {
   constexpr std::uint64_t kOps = 4000;
-  static constexpr FaultKind kFlipCycle[] = {
-      FaultKind::kStaleReplay, FaultKind::kForge, FaultKind::kCorrect};
+  static constexpr replica::FaultMode kFlipCycle[] = {
+      replica::FaultMode::kStaleReplay, replica::FaultMode::kForge,
+      replica::FaultMode::kCorrect};
   auto run = [&](std::uint32_t workers) {
     KvService::Config cfg = base_config(4, workers);
     cfg.quorums = std::make_shared<core::RandomSubsetSystem>(100, 40);
