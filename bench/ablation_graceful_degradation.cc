@@ -13,8 +13,8 @@
 
 #include "core/epsilon.h"
 #include "core/random_subset_system.h"
-#include "math/stats.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 #include "util/table.h"
 
 int main() {
@@ -35,20 +35,15 @@ int main() {
     cfg.quorums = std::make_shared<core::RandomSubsetSystem>(sys);
     cfg.mode = replica::ReadMode::kDissemination;
     cfg.seed = 100 + f;
-    replica::InstantCluster cluster(
-        cfg, replica::FaultPlan::prefix(n, f, replica::FaultMode::kStaleReplay));
-    math::Proportion stale;
-    std::int64_t value = 0;
-    constexpr int kPairs = 100000;
-    for (int i = 0; i < kPairs; ++i) {
-      cluster.write(1, ++value);
-      const auto r = cluster.read(1);
-      stale.add(!(r.selection.has_value && r.selection.record.value == value));
-    }
+    serve::Shard shard(std::make_unique<replica::InstantCluster>(
+        cfg,
+        replica::FaultPlan::prefix(n, f, replica::FaultMode::kStaleReplay)));
+    constexpr std::uint64_t kPairs = 100000;
+    const serve::PairCounts run = serve::write_read_pairs(shard, kPairs);
     t.row()
         .cell(static_cast<std::size_t>(f))
         .cell_sci(core::dissemination_epsilon_exact(n, sys.quorum_size(), f), 3)
-        .cell_sci(stale.estimate(), 3)
+        .cell_sci(static_cast<double>(run.stale) / kPairs, 3)
         .cell(static_cast<long long>(kPairs));
   }
   t.print(std::cout);

@@ -35,8 +35,6 @@
 #include <vector>
 
 #include "math/chernoff.h"
-#include "replica/fault.h"
-#include "replica/instant_cluster.h"
 #include "serve/kv_service.h"
 #include "simd/kernels.h"
 #include "stats/latency_histogram.h"
@@ -420,70 +418,29 @@ auto replay_gate(Report& report, const std::string& name, unsigned workers,
 
 // ---- epsilon measurements on the deployed replica stack --------------------
 
-// Counts from write/read pairs on one cluster.
-struct PairCounts {
-  std::uint64_t pairs = 0;
-  std::uint64_t stale = 0;       // the read missed the value just written
-  std::uint64_t fabricated = 0;  // the read returned the colluders' forgery
-  std::uint64_t checksum = 0;    // the cluster's strategy draw checksum
-
-  bool operator==(const PairCounts& o) const {
-    return pairs == o.pairs && stale == o.stale &&
-           fabricated == o.fabricated && checksum == o.checksum;
-  }
-  PairCounts& operator+=(const PairCounts& o) {
-    pairs += o.pairs;
-    stale += o.stale;
-    fabricated += o.fabricated;
-    checksum += o.checksum;
-    return *this;
-  }
-};
-
-// `pairs` write/read pairs on variable 1 of `cluster`; `between(cluster)`
-// runs between each write and its read.
-template <class Between>
-PairCounts write_read_pairs(replica::InstantCluster& cluster,
-                            std::uint64_t pairs, Between&& between) {
-  const std::int64_t forged = replica::ColludePlan{}.value;
-  PairCounts run;
-  run.pairs = pairs;
-  replica::WriteResult w;
-  replica::ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    between(cluster);
-    cluster.read_into(r, 1);
-    const bool has_value = r.selection.has_value;
-    if (has_value && r.selection.record.value == forged) ++run.fabricated;
-    if (!has_value || r.selection.record.value != value) ++run.stale;
-  }
-  run.checksum = cluster.strategy_draw_stats().checksum;
-  return run;
-}
-
 // The epsilon measurements' grid: kEpsilonShards shards, shard s measured
-// by `shard(pairs, seed)` from its own fixed seed on a pool of `threads`,
-// so the per-shard counts do not depend on the thread count.
+// by `measure(pairs, seed)` (serve::write_read_pairs on a fresh shard)
+// from its own fixed seed on a pool of `threads`, so the per-shard counts
+// do not depend on the thread count.
 inline constexpr std::uint32_t kEpsilonShards = 8;
 
-template <class Shard>
-std::vector<PairCounts> epsilon_shards(std::uint64_t pairs, unsigned threads,
-                                       const Shard& shard) {
-  std::vector<PairCounts> runs(kEpsilonShards);
+template <class Measure>
+std::vector<serve::PairCounts> epsilon_shards(std::uint64_t pairs,
+                                              unsigned threads,
+                                              const Measure& measure) {
+  std::vector<serve::PairCounts> runs(kEpsilonShards);
   util::WorkerPool pool(threads);
   pool.run(kEpsilonShards, [&](std::uint64_t s) {
-    runs[s] = shard(pairs, /*seed=*/211 + 1000003 * s);
+    runs[s] = measure(pairs, /*seed=*/211 + 1000003 * s);
   });
   return runs;
 }
 
-template <class Shard>
-PairCounts epsilon_total(std::uint64_t pairs, unsigned threads,
-                         const Shard& shard) {
-  PairCounts total;
-  for (const PairCounts& r : epsilon_shards(pairs, threads, shard)) {
+template <class Measure>
+serve::PairCounts epsilon_total(std::uint64_t pairs, unsigned threads,
+                                const Measure& measure) {
+  serve::PairCounts total;
+  for (const serve::PairCounts& r : epsilon_shards(pairs, threads, measure)) {
     total += r;
   }
   return total;
@@ -492,36 +449,29 @@ PairCounts epsilon_total(std::uint64_t pairs, unsigned threads,
 // The measurement is a replay too, gated as "replay.epsilon": the grid at
 // min(pairs, 2000) pairs per shard, per-shard counts identical at
 // `threads`, 1 and 8 threads.
-template <class Shard>
+template <class Measure>
 void epsilon_replay_gate(Report& report, std::uint64_t pairs,
-                         unsigned threads, const Shard& shard) {
+                         unsigned threads, const Measure& measure) {
   const std::uint64_t replay_pairs = std::min<std::uint64_t>(pairs, 2000);
   replay_gate(
       report, "epsilon", threads,
-      [&](unsigned t) { return epsilon_shards(replay_pairs, t, shard); },
+      [&](unsigned t) { return epsilon_shards(replay_pairs, t, measure); },
       std::equal_to<>());
 }
 
-// Gates `count` events in `trials` against the predicted `rate` plus the
-// Chernoff margin (math::chernoff_margin: false-failure probability
-// <= 1e-9 under the null, the conformance tests' bound at bench scale).
-// A zero rate is a structural zero: the event must not occur at all.
-// Returns the bound.
+// Gates the rate of `count` events in `trials` against the predicted
+// `rate` plus the Chernoff margin (math::chernoff_acceptance, the
+// conformance tests' rule at bench scale). A zero rate is a structural
+// zero: the event must not occur at all. Returns the bound on the rate.
 inline double chernoff_gate(Report& report, const std::string& name,
                             std::uint64_t count, std::uint64_t trials,
                             double rate) {
-  double bound = 0.0;
-  bool certified = true;
-  if (rate > 0.0) {
-    const double mu = static_cast<double>(trials) * rate;
-    const double gamma = math::chernoff_margin(mu);
-    bound = (1.0 + gamma) * rate;
-    certified = math::chernoff_upper(mu, gamma) <= 1e-9;
-  }
+  const math::ChernoffAcceptance accept =
+      math::chernoff_acceptance(trials, rate);
   report.gate_bound(name,
                     static_cast<double>(count) / static_cast<double>(trials),
-                    bound, /*strict=*/false, certified);
-  return bound;
+                    accept.rate, /*strict=*/false, accept.certified);
+  return accept.rate;
 }
 
 }  // namespace pqs::bench

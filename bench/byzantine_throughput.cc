@@ -147,17 +147,17 @@ void inject_faults(const FaultScript& script, serve::KvService& service,
 // against a cluster whose first b servers collude on the shared forged
 // record. Fabricated iff the selection is the forged value; failed (stale)
 // iff the selection is anything but the value just written.
-bench::PairCounts byzantine_shard(std::uint32_t b, std::uint64_t pairs,
+serve::PairCounts byzantine_shard(std::uint32_t b, std::uint64_t pairs,
                                   std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
   cfg.mode = ReadMode::kMasking;
   cfg.read_threshold = masking_k();
   cfg.seed = seed;
-  replica::InstantCluster cluster(
-      cfg, replica::FaultPlan::prefix(kUniverse, b, replica::FaultMode::kCollude));
-  return bench::write_read_pairs(cluster, pairs,
-                                 [](replica::InstantCluster&) {});
+  serve::Shard shard(std::make_unique<replica::InstantCluster>(
+      cfg,
+      replica::FaultPlan::prefix(kUniverse, b, replica::FaultMode::kCollude)));
+  return serve::write_read_pairs(shard, pairs);
 }
 
 auto shard_at(std::uint32_t b) {
@@ -188,7 +188,7 @@ void byzantine_sweep(bench::Report& report, std::uint64_t pairs_per_shard,
                 "the Monte Carlo estimate's Wilson interval misses the "
                 "closed form");
 
-    const bench::PairCounts total =
+    const serve::PairCounts total =
         bench::epsilon_total(pairs_per_shard, threads, shard_at(b));
     const double fab_measured = static_cast<double>(total.fabricated) /
                                 static_cast<double>(total.pairs);

@@ -72,16 +72,16 @@ std::vector<SectionSpec> make_sections() {
 // write, k ~ Poisson(lambda) in-place replacements (exponential
 // inter-arrivals on the dedicated churn stream; lambda = 0 means none),
 // read — stale iff the read returns anything but the value just written.
-bench::PairCounts epsilon_shard(double lambda, std::uint64_t pairs,
+serve::PairCounts epsilon_shard(double lambda, std::uint64_t pairs,
                                 std::uint64_t seed) {
   replica::InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kUniverse, kQuorum);
   cfg.seed = seed;
   cfg.churn_seed = seed ^ 0xc4a84e11ULL;
   cfg.dynamic_membership = true;
-  replica::InstantCluster cluster(cfg);
-  return bench::write_read_pairs(
-      cluster, pairs, [lambda](replica::InstantCluster& c) {
+  serve::Shard shard(std::make_unique<replica::InstantCluster>(cfg));
+  return serve::write_read_pairs(
+      shard, pairs, [lambda](replica::InstantCluster& c) {
         if (lambda == 0.0) return;
         std::uint32_t k = 0;
         double t = c.churn_rng().exponential(1.0 / lambda);
@@ -107,7 +107,7 @@ void epsilon_sweep(bench::Report& report, std::uint64_t pairs_per_shard,
         lambda == 0.0 ? 0.0
                       : core::timed_quorum_lifetime(kUniverse, kQuorum,
                                                     lambda, 2.0 * eps0);
-    const bench::PairCounts total = bench::epsilon_total(
+    const serve::PairCounts total = bench::epsilon_total(
         pairs_per_shard, threads,
         [lambda](std::uint64_t pairs, std::uint64_t seed) {
           return epsilon_shard(lambda, pairs, seed);

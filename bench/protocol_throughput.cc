@@ -1,7 +1,7 @@
 // End-to-end protocol throughput: the replica stack under load.
 //
-// Drives N independent InstantCluster shards (each a full server set plus a
-// single-writer client loop) over a worker pool, running a Zipfian
+// Drives N independent serve::Shards (each a full server set plus a
+// single-writer closed loop) over a worker pool, running a Zipfian
 // read/write mix from workload/, and reports write/read ops/sec. Each op
 // draws its quorum with sample_mask into per-cluster bitset scratch, calls
 // Server::apply_write/serve_read directly, and materializes the result
@@ -48,6 +48,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -63,7 +64,7 @@
 #include "stats/counters.h"
 #include "stats/load_profile.h"
 #include "util/worker_pool.h"
-#include "workload/workload.h"
+#include "workload/open_loop.h"
 
 namespace pqs {
 namespace {
@@ -88,32 +89,13 @@ std::shared_ptr<const quorum::QuorumSystem> make_system(int which) {
   }
 }
 
-// The shards' reports folded in index order into the serving tier's
-// aggregate fields (the checksum is position-weighted, order-sensitive).
-serve::ShardAggregate fold(
-    const std::vector<workload::WorkloadReport>& reports) {
-  serve::ShardAggregate agg;
-  for (const auto& r : reports) {
-    agg.reads += r.reads;
-    agg.writes += r.writes;
-    agg.stale_reads += r.stale_reads;
-    agg.empty_reads += r.empty_reads;
-    for (std::size_t u = 0; u < r.server_accesses.size(); ++u) {
-      agg.access_checksum +=
-          (static_cast<std::uint64_t>(u) + 1) * r.server_accesses[u];
-    }
-  }
-  return agg;
-}
-
 bench::RunOutcome run_shards(
     const std::shared_ptr<const quorum::QuorumSystem>& sys,
     std::uint64_t ops_per_shard, unsigned threads) {
-  workload::WorkloadSpec spec;
+  workload::OpenLoopSpec spec;
   spec.keys = 64;
   spec.zipf_exponent = 0.99;
   spec.read_fraction = 0.5;
-  spec.operations = ops_per_shard;
 
   std::vector<std::unique_ptr<InstantCluster>> clusters;
   clusters.reserve(kShards);
@@ -123,20 +105,24 @@ bench::RunOutcome run_shards(
     cfg.seed = 1000003ULL * (s + 1);
     clusters.push_back(std::make_unique<InstantCluster>(cfg));
   }
-  std::vector<workload::WorkloadReport> reports(kShards);
+  // Each shard is built on its pool thread, inside the timed region, so
+  // allocs/op counts its contact counters with the rest of its run state.
+  std::vector<std::optional<serve::Shard>> shards(kShards);
 
   util::WorkerPool pool(threads);
   const std::uint64_t before = bench::allocations();
   const auto t0 = std::chrono::steady_clock::now();
   pool.run(kShards, [&](std::uint64_t s) {
-    math::Rng rng(7777 + s);
-    workload::run_workload_into(*clusters[s], spec, rng, reports[s]);
+    serve::Shard& shard = shards[s].emplace(std::move(clusters[s]));
+    workload::OpenLoopGenerator gen(spec, 7777 + s);
+    serve::run_closed_loop(shard, gen, ops_per_shard);
   });
   const auto t1 = std::chrono::steady_clock::now();
   const std::uint64_t after = bench::allocations();
 
+  // Folded in index order (the checksum is position-weighted).
   bench::RunOutcome result;
-  result.fold = fold(reports);
+  for (const auto& shard : shards) result.fold += shard->aggregate();
   result.ops = ops_per_shard * kShards;
   result.seconds = std::chrono::duration<double>(t1 - t0).count();
   result.allocs_per_op =

@@ -121,12 +121,11 @@ void epsilon_check(bench::Report& report,
     replica::InstantCluster::Config cfg;
     cfg.strategy = s;
     cfg.seed = seed;
-    replica::InstantCluster cluster(cfg);
-    return bench::write_read_pairs(cluster, pairs,
-                                   [](replica::InstantCluster&) {});
+    serve::Shard shard(std::make_unique<replica::InstantCluster>(cfg));
+    return serve::write_read_pairs(shard, pairs);
   };
   const double predicted = s->predicted_epsilon(0.0);
-  const bench::PairCounts total =
+  const serve::PairCounts total =
       bench::epsilon_total(pairs_per_shard, threads, shard);
   const double measured =
       static_cast<double>(total.stale) / static_cast<double>(total.pairs);

@@ -15,8 +15,9 @@
 #include "quorum/threshold.h"
 #include "quorum/wall.h"
 #include "quorum/weighted.h"
+#include "serve/shard.h"
 #include "util/table.h"
-#include "workload/workload.h"
+#include "workload/open_loop.h"
 
 int main() {
   using namespace pqs;
@@ -67,20 +68,22 @@ int main() {
     replica::InstantCluster::Config cfg;
     cfg.quorums = e.system;
     cfg.seed = seed++;
-    replica::InstantCluster cluster(cfg);
-    workload::WorkloadSpec spec;
+    serve::Shard shard(std::make_unique<replica::InstantCluster>(cfg));
+    workload::OpenLoopSpec spec;
     spec.keys = 64;
     spec.zipf_exponent = 1.0;
     spec.read_fraction = 0.5;
-    spec.operations = 200000;
-    math::Rng rng(42 + seed);
-    const auto report = workload::run_workload(cluster, spec, rng);
+    workload::OpenLoopGenerator gen(spec, 42 + seed);
+    serve::run_closed_loop(shard, gen, 200000);
+    const serve::ShardAggregate counts = shard.aggregate();
     t.row()
         .cell(e.label)
         .cell(e.system->load(), 3)
-        .cell(report.measured_load(), 3)
+        .cell(shard.profile().max_load(), 3)
         .cell_sci(e.epsilon, 2)
-        .cell_sci(report.stale_rate(), 2);
+        .cell_sci(static_cast<double>(counts.stale_reads) /
+                      static_cast<double>(counts.reads),
+                  2);
   }
   t.print(std::cout);
 

@@ -25,6 +25,15 @@ double chernoff_margin(double mu) {
   return std::sqrt(4.0 * std::log(2e9) / mu);
 }
 
+ChernoffAcceptance chernoff_acceptance(std::uint64_t trials, double rate) {
+  PQS_REQUIRE(trials > 0 && rate >= 0.0, "chernoff trials and rate");
+  if (rate == 0.0) return {};
+  const double mu = static_cast<double>(trials) * rate;
+  const double gamma = chernoff_margin(mu);
+  return {(1.0 + gamma) * mu, (1.0 + gamma) * rate,
+          chernoff_upper(mu, gamma) <= 1e-9};
+}
+
 double chernoff_lower(double mu, double delta) {
   PQS_REQUIRE(mu >= 0.0, "chernoff mu");
   PQS_REQUIRE(delta >= 0.0 && delta <= 1.0, "chernoff delta");

@@ -21,6 +21,19 @@ double chernoff_upper(double mu, double gamma);
 // (while gamma <= 2e-1, i.e. for mu >= 4.35).
 double chernoff_margin(double mu);
 
+// The conformance gates' acceptance rule for the count of an event that
+// the null hypothesis bounds by Binomial(trials, rate): at most
+// (1 + chernoff_margin(mu)) mu events, mu = trials * rate. `certified`
+// says the bound puts the false-failure probability at or below 1e-9,
+// which no margin does below mu = 4.35. A zero rate is a structural zero:
+// the event must not occur at all.
+struct ChernoffAcceptance {
+  double count = 0.0;  // the largest event count accepted
+  double rate = 0.0;   // the same bound per trial
+  bool certified = true;
+};
+ChernoffAcceptance chernoff_acceptance(std::uint64_t trials, double rate);
+
 // Multiplicative lower-tail bound: P(X < (1-d) mu) <= exp(-mu d^2 / 2),
 // valid for 0 <= d <= 1.
 double chernoff_lower(double mu, double delta);

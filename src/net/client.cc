@@ -101,14 +101,12 @@ std::uint64_t Client::now_ns() const {
           .count());
 }
 
-std::uint32_t Client::pick_usable(std::uint32_t start_index, bool* failover) {
+std::uint32_t Client::pick_usable(std::uint32_t start_index) {
   for (std::uint32_t i = 0; i < conns_.size(); ++i) {
     const std::uint32_t idx =
         (start_index + i) % static_cast<std::uint32_t>(conns_.size());
     Conn& conn = *conns_[idx];
-    if (!conn.failed.load(std::memory_order_acquire) ||
-        reconnect(conn, idx)) {
-      if (i > 0 && failover != nullptr) *failover = true;
+    if (!conn.failed.load(std::memory_order_acquire) || reconnect(conn)) {
       return idx;
     }
   }
@@ -141,7 +139,7 @@ void Client::send(std::uint64_t key, std::int64_t value, bool is_read,
   const std::uint32_t start =
       next_conn_++ % static_cast<std::uint32_t>(conns_.size());
   for (;;) {
-    const std::uint32_t idx = pick_usable(start, nullptr);
+    const std::uint32_t idx = pick_usable(start);
     Conn& conn = *conns_[idx];
     // Window full: push what we have and wait for responses to free
     // slots. The spin is measured — an open-loop driver's schedule keeps
@@ -198,7 +196,7 @@ void Client::flush() {
   for (auto& conn : conns_) flush_conn(*conn);
 }
 
-bool Client::reconnect(Conn& conn, std::uint32_t index) {
+bool Client::reconnect(Conn& conn) {
   // Driver-thread-only. The reader may still be blocked in recv() when
   // the *driver* discovered the failure (send error); shutdown wakes it.
   if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
@@ -227,18 +225,7 @@ bool Client::reconnect(Conn& conn, std::uint32_t index) {
   conn.failed.store(false, std::memory_order_release);
   conn.reader = std::thread([this, &conn] { reader_loop(conn); });
   ++reconnects_;
-  for (const PendingOp& op : orphans) {
-    if (op.attempts > config_.max_retries) {
-      ++abandoned_;
-      continue;
-    }
-    ++retries_;
-    PendingOp retry = op;
-    ++retry.attempts;
-    retry.deadline_ns = now_ns() + config_.request_timeout_ns;
-    enqueue_op(conn, index, retry);
-  }
-  flush_conn(conn);
+  for (const PendingOp& op : orphans) retry(op);
   return true;
 }
 
@@ -258,24 +245,24 @@ void Client::reap_expired() {
       }
     }
   }
-  for (const PendingOp& op : expired) {
-    ++timeouts_;
-    if (op.attempts > config_.max_retries) {
-      ++abandoned_;
-      continue;
-    }
-    ++retries_;
-    backoff_sleep(kRetryBackoffNs, kRetryBackoffCapNs, op.attempts - 1);
-    // Prefer a different connection: the one that timed out is suspect.
-    bool failover = false;
-    const std::uint32_t idx = pick_usable(op.origin + 1, &failover);
-    if (idx != op.origin) ++failovers_;
-    PendingOp retry = op;
-    ++retry.attempts;
-    retry.deadline_ns = now_ns() + config_.request_timeout_ns;
-    enqueue_op(*conns_[idx], idx, retry);
-    flush_conn(*conns_[idx]);  // retries skip coalescing
+  timeouts_ += expired.size();
+  for (const PendingOp& op : expired) retry(op);
+}
+
+void Client::retry(const PendingOp& op) {
+  if (op.attempts > config_.max_retries) {
+    ++abandoned_;
+    return;
   }
+  ++retries_;
+  backoff_sleep(kRetryBackoffNs, kRetryBackoffCapNs, op.attempts - 1);
+  const std::uint32_t idx = pick_usable(op.origin + 1);
+  if (idx != op.origin) ++failovers_;
+  PendingOp again = op;
+  ++again.attempts;
+  again.deadline_ns = now_ns() + config_.request_timeout_ns;
+  enqueue_op(*conns_[idx], idx, again);
+  flush_conn(*conns_[idx]);  // retries skip coalescing
 }
 
 void Client::drain() {

@@ -30,7 +30,9 @@
 //     connection degrades one connection's requests instead of wedging
 //     the run;
 //   * a failed connection is lazily reconnected by the driver the next
-//     time round-robin lands on it; its in-flight requests are retried.
+//     time round-robin lands on it; its in-flight requests are retried
+//     by the same rule, one by one, so the requests a kill orphans do
+//     not share that connection's fate again.
 // Backoff jitter comes from the client's own fixed-seed math::Rng stream —
 // never from any quorum stream, so client-side fault handling cannot
 // perturb a single quorum draw. All recovery counters are surfaced in
@@ -153,15 +155,19 @@ class Client {
   int connect_with_backoff();
   // Driver-side: index of the first usable connection at or after
   // start_index, lazily reconnecting failed ones; requires one to be
-  // usable. Sets *failover when it had to skip past start_index.
-  std::uint32_t pick_usable(std::uint32_t start_index, bool* failover);
+  // usable.
+  std::uint32_t pick_usable(std::uint32_t start_index);
   // Driver-side: tears down and re-establishes one failed connection,
   // retrying its orphaned in-flight requests. False if connect fails.
-  bool reconnect(Conn& conn, std::uint32_t index);
+  bool reconnect(Conn& conn);
   // Driver-side: scans every connection for requests past their
-  // deadline; expired ones are retried (bounded, with backoff, on the
-  // next usable connection) or abandoned. No-op without deadlines.
+  // deadline and retries each. No-op without deadlines.
   void reap_expired();
+  // Driver-side: the one retry rule, for expired requests and a dead
+  // connection's orphans alike. Abandons `op` past max_retries; else
+  // re-sends it after a backoff on the first usable connection after
+  // the one it was last sent on, so it leaves a suspect connection.
+  void retry(const PendingOp& op);
   // Appends one frame for `op` to `conn` and registers it in pending.
   void enqueue_op(Conn& conn, std::uint32_t index, const PendingOp& op);
   void backoff_sleep(std::uint64_t base_ns, std::uint64_t cap_ns,

@@ -67,7 +67,10 @@ class FaultInjector {
   // threads race).
   FaultAction on_response(std::uint64_t conn_id);
 
-  // How many times each action actually fired (kNone excluded).
+  // How many verdicts of each action were handed out (kNone excluded).
+  // KvServer asks only while a connection can still carry a response
+  // (not stalled, not ended by a reset or a truncate), so these count
+  // the faults that reached the wire.
   std::uint64_t resets() const { return resets_.load(); }
   std::uint64_t stalls() const { return stalls_.load(); }
   std::uint64_t truncates() const { return truncates_.load(); }

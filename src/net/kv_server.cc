@@ -259,31 +259,38 @@ void KvServer::on_complete(const serve::Completion& done) {
 void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
                                 const Frame& frame) {
   if (conn->closed.load(std::memory_order_acquire)) return;
+  unsigned char wire[kFrameBytes];
+  encode_frame(frame, wire);
   // Fault-injection seam: the injector's verdict can replace the normal
   // flush. Everything socket-touching still happens on the owning IO
-  // thread — the verdict only changes *which* task gets posted.
+  // thread — the verdict only changes *which* task gets posted. Only a
+  // connection that can still carry a response asks for one, so the
+  // injector counts the faults that reached the wire.
   FaultAction action = FaultAction::kNone;
-  if (config_.fault_injector != nullptr) {
-    action = config_.fault_injector->on_response(conn->id);
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mutex);
+    if (conn->ended || conn->stalled.load(std::memory_order_relaxed)) {
+      return;
+    }
+    if (config_.fault_injector != nullptr) {
+      action = config_.fault_injector->on_response(conn->id);
+    }
+    conn->ended =
+        action == FaultAction::kReset || action == FaultAction::kTruncate;
+    if (action != FaultAction::kReset) {
+      const std::size_t bytes =
+          action == FaultAction::kTruncate ? kFrameBytes / 2 : kFrameBytes;
+      conn->out.insert(conn->out.end(), wire, wire + bytes);
+    }
+    if (action == FaultAction::kStall) {
+      // Slow-loris: the bytes sit in the buffer and no flush is ever
+      // posted. The connection stays open and silent.
+      conn->stalled.store(true, std::memory_order_release);
+      return;
+    }
   }
   if (action == FaultAction::kReset) {
     conn->loop->post([this, conn] { reset_connection(conn); });
-    return;
-  }
-  unsigned char wire[kFrameBytes];
-  encode_frame(frame, wire);
-  const std::size_t bytes =
-      action == FaultAction::kTruncate ? kFrameBytes / 2 : kFrameBytes;
-  {
-    std::lock_guard<std::mutex> lock(conn->out_mutex);
-    if (conn->truncated) return;
-    conn->out.insert(conn->out.end(), wire, wire + bytes);
-    conn->truncated = action == FaultAction::kTruncate;
-  }
-  if (action == FaultAction::kStall) {
-    // Slow-loris: the bytes sit in the buffer and no flush is ever
-    // posted. The connection stays open and silent.
-    conn->stalled.store(true, std::memory_order_release);
     return;
   }
   if (action == FaultAction::kTruncate) {
@@ -295,7 +302,6 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
     });
     return;
   }
-  if (conn->stalled.load(std::memory_order_acquire)) return;
   // Collapse a burst of completions into one flush task on the owning IO
   // thread — the only thread that ever writes to the socket.
   if (!conn->flush_pending.exchange(true, std::memory_order_acq_rel)) {

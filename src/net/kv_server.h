@@ -115,10 +115,11 @@ class KvServer {
     // collapses a burst of completions into one posted flush task.
     std::mutex out_mutex;
     std::vector<unsigned char> out;
-    // Set, under out_mutex, with the append of a kTruncate half frame. The
-    // stream ends there: later responses append and post nothing, or the
-    // peer would read a misaligned stream, not a partial frame and EOF.
-    bool truncated = false;
+    // Set, under out_mutex, by a kReset or kTruncate verdict. The stream
+    // ends there: later responses append and post nothing (after a half
+    // frame the peer would otherwise read a misaligned stream, not a
+    // partial frame and EOF) and ask the injector for no verdict.
+    bool ended = false;
     std::vector<unsigned char> sending;  // loop-thread-only
     std::size_t sending_offset = 0;      // written prefix of `sending`
     bool want_write = false;             // EPOLLOUT armed (loop-thread-only)
@@ -126,7 +127,8 @@ class KvServer {
     std::atomic<bool> closed{false};
     // Injected slow-loris: queued bytes are never flushed (and the
     // stop() drain skips them, so a stalled connection stays stalled
-    // through shutdown instead of un-stalling at the last moment).
+    // through shutdown instead of un-stalling at the last moment). Set
+    // under out_mutex; later responses are not queued.
     std::atomic<bool> stalled{false};
   };
 

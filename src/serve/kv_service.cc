@@ -1,7 +1,6 @@
 #include "serve/kv_service.h"
 
 #include <algorithm>
-#include <ostream>
 
 #include "util/require.h"
 
@@ -34,9 +33,10 @@ KvService::KvService(Config config) : config_(std::move(config)) {
   PQS_REQUIRE(config_.quorums != nullptr, "service needs a quorum system");
   config_.workers = std::max<std::uint32_t>(
       1, std::min(config_.workers, config_.shards));
-  shards_.reserve(config_.shards);
+  const replica::FaultPlan faults = config_.faults.value_or(
+      replica::FaultPlan(config_.quorums->universe_size()));
+  lanes_.reserve(config_.shards);
   for (std::uint32_t s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(config_.queue_capacity);
     replica::InstantCluster::Config cluster_cfg;
     cluster_cfg.quorums = config_.quorums;
     cluster_cfg.mode = config_.read_mode;
@@ -46,17 +46,9 @@ KvService::KvService(Config config) : config_(std::move(config)) {
     cluster_cfg.initial_live = config_.initial_live;
     cluster_cfg.churn_seed = config_.seed + 0xc4a84e11ULL * (s + 1);
     cluster_cfg.strategy = config_.strategy;
-    if (config_.faults.has_value()) {
-      PQS_REQUIRE(config_.faults->size() == config_.quorums->universe_size(),
-                  "fault plan size");
-      shard->cluster = std::make_unique<replica::InstantCluster>(
-          std::move(cluster_cfg), *config_.faults);
-    } else {
-      shard->cluster =
-          std::make_unique<replica::InstantCluster>(std::move(cluster_cfg));
-    }
-    shard->accesses.assign(shard->cluster->universe_size(), 0);
-    shards_.push_back(std::move(shard));
+    lanes_.push_back(std::make_unique<Lane>(
+        config_.queue_capacity, std::make_unique<replica::InstantCluster>(
+                                    std::move(cluster_cfg), faults)));
   }
 }
 
@@ -76,7 +68,7 @@ std::uint32_t KvService::shard_of(std::uint64_t key) const {
   // Multiply-shift range reduction of the mixed key: unbiased enough for
   // routing and, crucially, a pure function of (key, shard count).
   const unsigned __int128 wide =
-      static_cast<unsigned __int128>(mix64(key)) * shards_.size();
+      static_cast<unsigned __int128>(mix64(key)) * lanes_.size();
   return static_cast<std::uint32_t>(wide >> 64);
 }
 
@@ -92,12 +84,12 @@ void KvService::start() {
 }
 
 bool KvService::try_submit(const Request& request) {
-  return shards_[shard_of(request.key)]->ring.try_push(request);
+  return lanes_[shard_of(request.key)]->ring.try_push(request);
 }
 
 void KvService::submit(const Request& request) {
-  Shard& shard = *shards_[shard_of(request.key)];
-  while (!shard.ring.try_push(request)) {
+  Lane& lane = *lanes_[shard_of(request.key)];
+  while (!lane.ring.try_push(request)) {
     // Ring full: the shard is the bottleneck. Spin — the open-loop
     // deadline keeps accruing, so the stall is measured, not hidden.
     std::this_thread::yield();
@@ -111,7 +103,7 @@ void KvService::submit_churn(std::uint32_t shard, ChurnKind kind,
   Request request;
   request.key = arg;
   request.churn = kind;
-  util::MpscRing<Request>& ring = shards_.at(shard)->ring;
+  util::MpscRing<Request>& ring = lanes_.at(shard)->ring;
   while (!ring.try_push(request)) std::this_thread::yield();
 }
 
@@ -121,7 +113,7 @@ void KvService::submit_fault(std::uint32_t shard, replica::FaultMode mode,
   Request request;
   request.key = slot;
   request.fault = mode;
-  util::MpscRing<Request>& ring = shards_.at(shard)->ring;
+  util::MpscRing<Request>& ring = lanes_.at(shard)->ring;
   while (!ring.try_push(request)) std::this_thread::yield();
 }
 
@@ -131,24 +123,11 @@ void KvService::stop_and_drain() {
   for (auto& t : threads_) t.join();
   threads_.clear();
   running_ = false;
-  // The checksum folds the per-server contact counts into one
-  // order-sensitive word (same shape as the protocol harness gate).
-  for (auto& shard : shards_) {
-    std::uint64_t checksum = 0;
-    for (std::size_t u = 0; u < shard->accesses.size(); ++u) {
-      checksum += (static_cast<std::uint64_t>(u) + 1) * shard->accesses[u];
-    }
-    shard->aggregate.access_checksum = checksum;
-    shard->aggregate.membership_epoch = shard->cluster->view_epoch();
-    const auto draw_stats = shard->cluster->strategy_draw_stats();
-    shard->aggregate.strategy_draws = draw_stats.draws;
-    shard->aggregate.strategy_checksum = draw_stats.checksum;
-  }
 }
 
 void KvService::reset_latency() {
   PQS_REQUIRE(!running_, "reset_latency needs a stopped service");
-  for (auto& shard : shards_) shard->histogram = stats::LatencyHistogram();
+  for (auto& lane : lanes_) lane->histogram = stats::LatencyHistogram();
 }
 
 std::uint64_t KvService::now_ns() const {
@@ -164,11 +143,11 @@ void KvService::worker_loop(std::uint32_t worker) {
   const std::uint32_t step = config_.workers;
   for (;;) {
     bool progress = false;
-    for (std::uint32_t s = worker; s < shards_.size(); s += step) {
-      Shard& shard = *shards_[s];
+    for (std::uint32_t s = worker; s < lanes_.size(); s += step) {
+      Lane& lane = *lanes_[s];
       const std::size_t taken =
-          shard.ring.pop_batch(batch.data(), batch.size());
-      for (std::size_t i = 0; i < taken; ++i) process(shard, batch[i]);
+          lane.ring.pop_batch(batch.data(), batch.size());
+      for (std::size_t i = 0; i < taken; ++i) process(lane, batch[i]);
       progress |= taken > 0;
     }
     if (progress) continue;
@@ -176,8 +155,8 @@ void KvService::worker_loop(std::uint32_t worker) {
       // Producers are done and their pushes are visible; one empty sweep
       // over the owned rings means there is nothing left to drain.
       bool all_empty = true;
-      for (std::uint32_t s = worker; s < shards_.size(); s += step) {
-        if (!shards_[s]->ring.empty()) {
+      for (std::uint32_t s = worker; s < lanes_.size(); s += step) {
+        if (!lanes_[s]->ring.empty()) {
           all_empty = false;
           break;
         }
@@ -189,69 +168,17 @@ void KvService::worker_loop(std::uint32_t worker) {
   }
 }
 
-void KvService::process(Shard& shard, const Request& request) {
-  ShardAggregate& agg = shard.aggregate;
-  if (request.fault.has_value()) {
-    // Fault flip at this FIFO position. Like churn: control traffic, so
-    // no latency record and no completion.
-    shard.cluster->server(static_cast<std::uint32_t>(request.key))
-        .set_mode(*request.fault);
-    ++agg.fault_events;
-    return;
-  }
-  if (request.churn != ChurnKind::kNone) {
-    // Membership change at this FIFO position. No latency record, no
-    // completion — churn is control traffic, not a served request.
-    switch (request.churn) {
-      case ChurnKind::kReplace:
-        shard.cluster->churn_replace();
-        break;
-      case ChurnKind::kJoin:
-        shard.cluster->join(static_cast<quorum::ServerId>(request.key));
-        break;
-      case ChurnKind::kLeave:
-        shard.cluster->leave(static_cast<quorum::ServerId>(request.key));
-        break;
-      case ChurnKind::kNone:
-        break;
-    }
-    ++agg.churn_events;
-    return;
-  }
-  if (request.is_read) {
-    ++agg.reads;
-    shard.cluster->read_into(shard.read_scratch, request.key);
-    for (const auto u : shard.read_scratch.quorum) ++shard.accesses[u];
-    const auto& selection = shard.read_scratch.selection;
-    // Byzantine accounting first: what the selection rule refused, and
-    // whether refusing was enough to still pick a value (masked) or left
-    // the read with ⊥ (bot). All deterministic, so inside the gate.
-    agg.rejected_forgeries += selection.rejected;
-    if (selection.rejected > 0 && selection.has_value) ++agg.masked_reads;
-    if (!selection.has_value) ++agg.bot_reads;
-    const auto expected = shard.last_written.find(request.key);
-    if (expected == shard.last_written.end()) {
-      ++agg.empty_reads;
-    } else if (!selection.has_value) {
-      ++agg.empty_reads;
-      ++agg.stale_reads;
-    } else if (selection.record.value != expected->second) {
-      ++agg.stale_reads;
-    }
-  } else {
-    ++agg.writes;
-    shard.cluster->write_into(shard.write_scratch, request.key,
-                              request.value);
-    for (const auto u : shard.write_scratch.quorum) ++shard.accesses[u];
-    shard.last_written[request.key] = request.value;
-  }
+void KvService::process(Lane& lane, const Request& request) {
+  // Churn and fault flips are control traffic: no latency record, no
+  // completion.
+  if (!lane.shard.apply(request)) return;
   // Latency from the *scheduled* arrival (coordinated-omission-safe); an
   // unpaced driver stamps submit time, making this pure service+queue
   // time instead.
   const std::uint64_t now = now_ns();
-  shard.histogram.record(now > request.scheduled_ns
-                             ? now - request.scheduled_ns
-                             : 0);
+  lane.histogram.record(now > request.scheduled_ns
+                            ? now - request.scheduled_ns
+                            : 0);
   // Completion fires after the latency record so a caller that observed
   // the reply knows this shard's histogram and aggregates already hold
   // the request.
@@ -262,9 +189,9 @@ void KvService::process(Shard& shard, const Request& request) {
     done.key = request.key;
     done.is_read = request.is_read;
     if (request.is_read) {
-      done.found = shard.read_scratch.selection.has_value;
-      done.value =
-          done.found ? shard.read_scratch.selection.record.value : 0;
+      const replica::ReadSelection& selection = lane.shard.selection();
+      done.found = selection.has_value;
+      done.value = done.found ? selection.record.value : 0;
     } else {
       done.found = true;
       done.value = request.value;
@@ -273,54 +200,37 @@ void KvService::process(Shard& shard, const Request& request) {
   }
 }
 
-std::ostream& operator<<(std::ostream& os, const ShardAggregate& a) {
-  const char* sep = "{";
-#define PQS_AGGREGATE_PRINT(name) \
-  os << sep << #name "=" << a.name; \
-  sep = ", ";
-  PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_PRINT)
-#undef PQS_AGGREGATE_PRINT
-  return os << "}";
-}
-
 ShardAggregate KvService::fold_aggregates() const {
   ShardAggregate total;
-  for (const auto& shard : shards_) total += shard->aggregate;
+  for (const auto& lane : lanes_) total += lane->shard.aggregate();
   return total;
 }
 
 std::vector<ShardAggregate> KvService::aggregates() const {
   std::vector<ShardAggregate> all;
-  all.reserve(shards_.size());
-  for (const auto& shard : shards_) all.push_back(shard->aggregate);
+  all.reserve(lanes_.size());
+  for (const auto& lane : lanes_) all.push_back(lane->shard.aggregate());
   return all;
 }
 
 stats::LatencyHistogram KvService::merged_histogram() const {
   stats::LatencyHistogram merged;
-  for (const auto& shard : shards_) merged.merge(shard->histogram);
+  for (const auto& lane : lanes_) merged.merge(lane->histogram);
   return merged;
 }
 
 stats::ContentionSnapshot KvService::contention_snapshot() const {
   stats::ContentionSnapshot merged;
-  for (const auto& shard : shards_) {
-    merged.merge(shard->cluster->contention_snapshot());
+  for (const auto& lane : lanes_) {
+    merged.merge(lane->shard.cluster().contention_snapshot());
   }
   return merged;
 }
 
 stats::LoadProfile KvService::server_profile() const {
-  std::vector<std::uint64_t> hits;
-  std::uint64_t ops = 0;
-  for (const auto& shard : shards_) {
-    if (hits.empty()) hits.assign(shard->accesses.size(), 0);
-    for (std::size_t u = 0; u < shard->accesses.size(); ++u) {
-      hits[u] += shard->accesses[u];
-    }
-    ops += shard->aggregate.reads + shard->aggregate.writes;
-  }
-  return stats::LoadProfile(std::move(hits), ops);
+  stats::LoadProfile merged;
+  for (const auto& lane : lanes_) merged.merge(lane->shard.profile());
+  return merged;
 }
 
 }  // namespace pqs::serve

@@ -1,13 +1,11 @@
 // The sharded in-memory key-value serving tier.
 //
-// N `replica::InstantCluster` shards sit behind a request router: keys
-// hash to shards, every shard owns a bounded lock-free MPSC ring
+// N `serve::Shard`s (shard.h) sit behind a request router: keys hash to
+// shards, every shard owns a bounded lock-free MPSC ring
 // (util::MpscRing), and a fixed set of worker threads batch-dequeues
-// requests and applies them through the clusters' zero-allocation
-// `write_into`/`read_into` entry points. The submit path is one hash plus
-// one ring push — no locks, no allocation — and the worker hot loop is
-// allocation-free in steady state (per-shard scratch results, a per-key
-// map that stops growing once every key has been written, a fixed-size
+// requests and applies each with Shard::apply. The submit path is one
+// hash plus one ring push — no locks, no allocation — and the worker hot
+// loop is allocation-free in steady state (Shard::apply, a fixed-size
 // latency histogram).
 //
 // Determinism contract (the serving-tier face of the repo-wide one): the
@@ -32,51 +30,18 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <iosfwd>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "quorum/quorum_system.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 #include "stats/counters.h"
 #include "stats/latency_histogram.h"
 #include "stats/load_profile.h"
 #include "util/mpsc_ring.h"
 
 namespace pqs::serve {
-
-// Membership changes ride the shard rings as in-band requests, so a churn
-// event has a definite position in the shard's FIFO request subsequence —
-// which is exactly what keeps churned runs inside the bit-identity
-// contract: same subsequence, same aggregates, at any worker count.
-// kReplace turns over a uniformly random live slot
-// (drawn from the cluster's dedicated churn rng); kJoin/kLeave target the
-// slot in Request::key.
-enum class ChurnKind : std::uint8_t { kNone = 0, kReplace, kJoin, kLeave };
-
-// One routed request. scheduled_ns is the open-loop arrival deadline
-// relative to the service epoch (service_now_ns() clock); latency is
-// measured from it at completion. ctx/request_id are opaque words the
-// completion hook echoes back — the network front end routes them as
-// (connection id, wire request id); in-process drivers leave them zero.
-struct Request {
-  std::uint64_t key = 0;  // churn requests: the slot argument
-  std::int64_t value = 0;  // written value (writes only)
-  std::uint64_t scheduled_ns = 0;
-  std::uint64_t ctx = 0;
-  std::uint64_t request_id = 0;
-  bool is_read = false;
-  bool wants_reply = false;  // invoke the completion hook for this request
-  ChurnKind churn = ChurnKind::kNone;
-  // Fault-mode flips ride the shard rings the same way churn does: when
-  // set, the request switches the server in `key` to this mode
-  // (kCorrect heals it) at a definite FIFO position in the shard's
-  // request subsequence. Adversarial scenarios are therefore
-  // deterministic and replayable — the same submission order produces
-  // bit-identical aggregates at any worker count.
-  std::optional<replica::FaultMode> fault;
-};
 
 // What the completion hook learns about one finished request: the opaque
 // routing words echoed verbatim, plus the protocol outcome (for reads,
@@ -89,54 +54,6 @@ struct Completion {
   bool is_read = false;
   bool found = false;  // read: selection nonempty; write: always true
 };
-
-// The deterministic per-shard outcome counters: everything here is a pure
-// function of the shard's request subsequence (no timings), so it is the
-// payload of the bit-identity gates and of the serving tests' committed
-// goldens. The counters are listed once; the members (in this order), ==,
-// += and the printer all expand from the list, so a new counter is one
-// line. The Byzantine and strategy counters stay zero on plain honest
-// deployments, so each extended the gate without disturbing it.
-// access_checksum, membership_epoch and the strategy pair are filled at
-// stop_and_drain.
-#define PQS_SHARD_AGGREGATE_FIELDS(X)                                       \
-  X(reads)                                                                  \
-  X(writes)                                                                 \
-  X(stale_reads)        /* read selection != last applied write */          \
-  X(empty_reads)        /* no selection, or a never-written key */          \
-  X(access_checksum)    /* sum over servers of (u + 1) * contacts[u] */     \
-  X(churn_events)       /* membership churn applied in-band */              \
-  X(membership_epoch)   /* final view epoch; 0 for static shards */         \
-  X(rejected_forgeries) /* replies refused: bad MAC, sub-k vouchers */      \
-  X(masked_reads)       /* rejected a reply yet still selected a value */   \
-  X(bot_reads)          /* selection was ⊥ */                               \
-  X(fault_events)       /* fault-mode flips applied in-band */              \
-  X(strategy_draws)     /* alias-table draws (0 without a strategy) */      \
-  X(strategy_checksum)  /* ordered fold of (support index, side) draws */
-
-struct ShardAggregate {
-#define PQS_AGGREGATE_MEMBER(name) std::uint64_t name = 0;
-  PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_MEMBER)
-#undef PQS_AGGREGATE_MEMBER
-
-  bool operator==(const ShardAggregate& o) const {
-    bool equal = true;
-#define PQS_AGGREGATE_EQUAL(name) equal = equal && name == o.name;
-    PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_EQUAL)
-#undef PQS_AGGREGATE_EQUAL
-    return equal;
-  }
-  ShardAggregate& operator+=(const ShardAggregate& o) {
-#define PQS_AGGREGATE_ADD(name) name += o.name;
-    PQS_SHARD_AGGREGATE_FIELDS(PQS_AGGREGATE_ADD)
-#undef PQS_AGGREGATE_ADD
-    return *this;
-  }
-};
-
-// Prints every counter by name, in declaration order:
-// "{reads=1, writes=2, ...}".
-std::ostream& operator<<(std::ostream& os, const ShardAggregate& a);
 
 class KvService {
  public:
@@ -189,7 +106,7 @@ class KvService {
   KvService& operator=(const KvService&) = delete;
 
   std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(shards_.size());
+    return static_cast<std::uint32_t>(lanes_.size());
   }
   std::uint32_t workers() const { return config_.workers; }
   bool running() const { return running_; }
@@ -248,7 +165,8 @@ class KvService {
   // timebase of Request::scheduled_ns.
   std::uint64_t now_ns() const;
 
-  // Post-drain observability (valid after stop_and_drain()).
+  // Observability of a stopped service (before start() or after
+  // stop_and_drain()).
   ShardAggregate fold_aggregates() const;
   std::vector<ShardAggregate> aggregates() const;
   stats::LatencyHistogram merged_histogram() const;
@@ -259,26 +177,24 @@ class KvService {
   stats::LoadProfile server_profile() const;
 
  private:
-  struct Shard {
-    explicit Shard(std::size_t queue_capacity) : ring(queue_capacity) {}
+  // One shard's ring and what its owning worker keeps for it.
+  struct Lane {
+    Lane(std::size_t queue_capacity,
+         std::unique_ptr<replica::InstantCluster> cluster)
+        : ring(queue_capacity), shard(std::move(cluster)) {}
     util::MpscRing<Request> ring;
-    std::unique_ptr<replica::InstantCluster> cluster;
-    // Worker-private state below: only the owning worker touches it
-    // between start() and stop_and_drain().
-    std::unordered_map<std::uint64_t, std::int64_t> last_written;
-    std::vector<std::uint64_t> accesses;  // per-server quorum contacts
-    replica::WriteResult write_scratch;
-    replica::ReadResult read_scratch;
-    ShardAggregate aggregate;
+    // Worker-private below: only the owning worker touches them between
+    // start() and stop_and_drain().
+    Shard shard;
     stats::LatencyHistogram histogram;
   };
 
   void worker_loop(std::uint32_t worker);
-  void process(Shard& shard, const Request& request);
+  void process(Lane& lane, const Request& request);
 
   Config config_;
   CompletionHandler completion_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::vector<std::thread> threads_;
   std::atomic<bool> stopping_{false};
   bool running_ = false;

@@ -1,6 +1,6 @@
 // Open-loop load generation for the serving tier.
 //
-// The closed-loop runner in workload.h issues the next operation only
+// A closed loop (serve::run_closed_loop) issues the next operation only
 // after the previous one completes, so a slow server quietly throttles the
 // offered load and the measured latencies say nothing about queueing. An
 // *open-loop* generator fixes the arrival schedule up front: operation i

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/require.h"
 
@@ -33,67 +32,6 @@ double ZipfianKeys::probability(std::uint64_t key) const {
   const double hi = cdf_[key - 1];
   const double lo = key >= 2 ? cdf_[key - 2] : 0.0;
   return hi - lo;
-}
-
-double WorkloadReport::measured_load() const {
-  if (server_accesses.empty()) return 0.0;
-  std::uint64_t ops = reads + writes;
-  if (ops == 0) return 0.0;
-  const auto max_hits =
-      *std::max_element(server_accesses.begin(), server_accesses.end());
-  return static_cast<double>(max_hits) / static_cast<double>(ops);
-}
-
-WorkloadReport run_workload(replica::InstantCluster& cluster,
-                            const WorkloadSpec& spec, math::Rng& rng) {
-  WorkloadReport report;
-  run_workload_into(cluster, spec, rng, report);
-  return report;
-}
-
-void run_workload_into(replica::InstantCluster& cluster,
-                       const WorkloadSpec& spec, math::Rng& rng,
-                       WorkloadReport& report) {
-  PQS_REQUIRE(spec.operations >= 1, "workload needs operations");
-  PQS_REQUIRE(spec.read_fraction >= 0.0 && spec.read_fraction <= 1.0,
-              "read fraction");
-  const ZipfianKeys keys(spec.keys, spec.zipf_exponent);
-  report.reads = 0;
-  report.writes = 0;
-  report.stale_reads = 0;
-  report.empty_reads = 0;
-  report.server_accesses.assign(cluster.universe_size(), 0);
-  std::unordered_map<std::uint64_t, std::int64_t> last_written;
-  std::int64_t next_value = 0;
-  // Operation scratch: the result quorum vectors keep their capacity, so
-  // after the first few ops the loop body allocates nothing on the kMask
-  // path.
-  replica::WriteResult w;
-  replica::ReadResult r;
-
-  for (std::uint64_t op = 0; op < spec.operations; ++op) {
-    const std::uint64_t key = keys.sample(rng);
-    if (rng.chance(spec.read_fraction)) {
-      ++report.reads;
-      cluster.read_into(r, key);
-      for (auto u : r.quorum) ++report.server_accesses[u];
-      const auto expected = last_written.find(key);
-      if (expected == last_written.end()) {
-        // Never written: any answer counts as empty/unknown.
-        ++report.empty_reads;
-      } else if (!r.selection.has_value) {
-        ++report.empty_reads;
-        ++report.stale_reads;
-      } else if (r.selection.record.value != expected->second) {
-        ++report.stale_reads;
-      }
-    } else {
-      ++report.writes;
-      cluster.write_into(w, key, ++next_value);
-      for (auto u : w.quorum) ++report.server_accesses[u];
-      last_written[key] = next_value;
-    }
-  }
 }
 
 }  // namespace pqs::workload

@@ -8,7 +8,8 @@
 #include "math/stats.h"
 #include "quorum/threshold.h"
 #include "replica/lock_service.h"
-#include "workload/workload.h"
+#include "serve/shard.h"
+#include "workload/open_loop.h"
 
 namespace pqs {
 namespace {
@@ -152,17 +153,28 @@ TEST(Zipfian, Validation) {
   EXPECT_THROW(keys.probability(6), std::invalid_argument);
 }
 
+// A fresh shard over `cfg` after a closed loop of `ops` operations of
+// `spec`, generator seed `seed`.
+std::unique_ptr<serve::Shard> closed_loop(const InstantCluster::Config& cfg,
+                                          const workload::OpenLoopSpec& spec,
+                                          std::uint64_t ops,
+                                          std::uint64_t seed) {
+  auto shard =
+      std::make_unique<serve::Shard>(std::make_unique<InstantCluster>(cfg));
+  workload::OpenLoopGenerator gen(spec, seed);
+  serve::run_closed_loop(*shard, gen, ops);
+  return shard;
+}
+
 TEST(Workload, StrictClusterHasNoStaleReads) {
-  InstantCluster cluster(strict_config(15, 8));
-  workload::WorkloadSpec spec;
+  workload::OpenLoopSpec spec;
   spec.keys = 32;
   spec.read_fraction = 0.5;
-  spec.operations = 20000;
-  math::Rng rng(9);
-  const auto report = workload::run_workload(cluster, spec, rng);
-  EXPECT_EQ(report.stale_reads, 0u);
-  EXPECT_EQ(report.reads + report.writes, spec.operations);
-  EXPECT_NEAR(double(report.reads) / spec.operations, 0.5, 0.02);
+  const auto counts =
+      closed_loop(strict_config(15, 8), spec, 20000, 9)->aggregate();
+  EXPECT_EQ(counts.stale_reads, 0u);
+  EXPECT_EQ(counts.reads + counts.writes, 20000u);
+  EXPECT_NEAR(double(counts.reads) / 20000, 0.5, 0.02);
 }
 
 TEST(Workload, MeasuredLoadMatchesAnalytic) {
@@ -170,14 +182,11 @@ TEST(Workload, MeasuredLoadMatchesAnalytic) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(n, q);
   cfg.seed = 10;
-  InstantCluster cluster(cfg);
-  workload::WorkloadSpec spec;
+  workload::OpenLoopSpec spec;
   spec.keys = 16;
   spec.zipf_exponent = 1.0;  // key skew must NOT skew server load
-  spec.operations = 100000;
-  math::Rng rng(11);
-  const auto report = workload::run_workload(cluster, spec, rng);
-  EXPECT_NEAR(report.measured_load(), 0.2, 0.015);
+  EXPECT_NEAR(closed_loop(cfg, spec, 100000, 11)->profile().max_load(), 0.2,
+              0.015);
 }
 
 TEST(Workload, StaleRateTracksEpsilon) {
@@ -185,32 +194,27 @@ TEST(Workload, StaleRateTracksEpsilon) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(n, q);
   cfg.seed = 12;
-  InstantCluster cluster(cfg);
-  workload::WorkloadSpec spec;
+  workload::OpenLoopSpec spec;
   spec.keys = 8;
   spec.read_fraction = 0.5;
-  spec.operations = 100000;
-  math::Rng rng(13);
-  const auto report = workload::run_workload(cluster, spec, rng);
+  const auto counts = closed_loop(cfg, spec, 100000, 13)->aggregate();
   const double eps = core::nonintersection_exact(n, q);
   // A read is stale iff its quorum misses the key's last write quorum; the
   // workload's interleaving across keys does not change that probability.
-  EXPECT_NEAR(report.stale_rate(), eps, 0.01);
+  EXPECT_NEAR(double(counts.stale_reads) / double(counts.reads), eps, 0.01);
 }
 
 TEST(Workload, ReadOnlyAndWriteOnlyMixes) {
-  InstantCluster cluster(strict_config(9, 14));
-  workload::WorkloadSpec spec;
+  const InstantCluster::Config cfg = strict_config(9, 14);
+  workload::OpenLoopSpec spec;
   spec.keys = 4;
-  spec.operations = 1000;
   spec.read_fraction = 1.0;
-  math::Rng rng(15);
-  auto r = workload::run_workload(cluster, spec, rng);
+  const auto r = closed_loop(cfg, spec, 1000, 15)->aggregate();
   EXPECT_EQ(r.writes, 0u);
   EXPECT_EQ(r.reads, 1000u);
   EXPECT_EQ(r.empty_reads, 1000u);  // nothing was ever written
   spec.read_fraction = 0.0;
-  auto w = workload::run_workload(cluster, spec, rng);
+  const auto w = closed_loop(cfg, spec, 1000, 16)->aggregate();
   EXPECT_EQ(w.reads, 0u);
   EXPECT_EQ(w.writes, 1000u);
 }

@@ -24,7 +24,6 @@
 // fabricated rate at b = 2 to the b >= 1 containment rate, an order of
 // magnitude above the Lemma 5.7 bound, and the conformance tests here
 // fail.
-#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -38,52 +37,25 @@
 #include "math/rng.h"
 #include "replica/fault.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 
 namespace pqs::replica {
 namespace {
 
-struct ByzantineRun {
-  std::uint64_t pairs = 0;
-  std::uint64_t fabricated = 0;  // read returned the colluders' forgery
-  std::uint64_t failures = 0;    // read != the value just written (or ⊥)
-};
-
-ByzantineRun run_pairs(std::uint32_t n, std::uint32_t q, std::uint32_t b,
-                       std::uint32_t k, std::uint64_t pairs,
-                       std::uint64_t seed) {
+// Write/read pairs under masking against a cluster whose first b servers
+// collude on the shared forged record. A failed read is a stale one: ⊥,
+// or anything but the value just written.
+serve::PairCounts run_pairs(std::uint32_t n, std::uint32_t q, std::uint32_t b,
+                            std::uint32_t k, std::uint64_t pairs,
+                            std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(n, q);
   cfg.mode = ReadMode::kMasking;
   cfg.read_threshold = k;
   cfg.seed = seed;
-  InstantCluster cluster(cfg,
-                         FaultPlan::prefix(n, b, FaultMode::kCollude));
-  const std::int64_t forged_value = ColludePlan{}.value;
-  ByzantineRun run;
-  run.pairs = pairs;
-  WriteResult w;
-  ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    cluster.read_into(r, 1);
-    if (r.selection.has_value && r.selection.record.value == forged_value) {
-      ++run.fabricated;
-    }
-    if (!r.selection.has_value || r.selection.record.value != value) {
-      ++run.failures;
-    }
-  }
-  return run;
-}
-
-// gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by the
-// multiplicative Chernoff bound.
-double margin_gamma(double mu) {
-  const double gamma = math::chernoff_margin(mu);
-  EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
-  EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
-  return gamma;
+  serve::Shard shard(std::make_unique<InstantCluster>(
+      cfg, FaultPlan::prefix(n, b, FaultMode::kCollude)));
+  return serve::write_read_pairs(shard, pairs);
 }
 
 // ---- the closed form against its own oracle -------------------------------
@@ -143,10 +115,10 @@ TEST(MaskingEpsilon, ColludingStackRespectsFabricationEpsilon) {
   const std::uint64_t kPairs = 200000;
   const double fab = core::fabrication_epsilon_exact(n, q, b, k);
   ASSERT_GT(fab, 0.0);
-  const double mu = static_cast<double>(kPairs) * fab;
-  const double gamma = margin_gamma(mu);
-  const ByzantineRun run = run_pairs(n, q, b, k, kPairs, /*seed=*/41);
-  EXPECT_LE(static_cast<double>(run.fabricated), (1.0 + gamma) * mu)
+  const auto accept = math::chernoff_acceptance(kPairs, fab);
+  EXPECT_TRUE(accept.certified);
+  const auto run = run_pairs(n, q, b, k, kPairs, /*seed=*/41);
+  EXPECT_LE(static_cast<double>(run.fabricated), accept.count)
       << "observed " << run.fabricated << " fabricated reads over "
       << run.pairs << " pairs; eps=" << fab;
   // The bound is probabilistic, not strict: fabrications must actually
@@ -155,10 +127,10 @@ TEST(MaskingEpsilon, ColludingStackRespectsFabricationEpsilon) {
 
   // The total failed-read rate sits inside the Definition 5.1 epsilon.
   const double eps = core::masking_epsilon_exact(n, q, b, k);
-  const double mu_fail = static_cast<double>(kPairs) * eps;
-  const double gamma_fail = margin_gamma(mu_fail);
-  EXPECT_LE(static_cast<double>(run.failures), (1.0 + gamma_fail) * mu_fail)
-      << "observed " << run.failures << " failed reads over " << run.pairs
+  const auto accept_fail = math::chernoff_acceptance(kPairs, eps);
+  EXPECT_TRUE(accept_fail.certified);
+  EXPECT_LE(static_cast<double>(run.stale), accept_fail.count)
+      << "observed " << run.stale << " failed reads over " << run.pairs
       << " pairs; eps=" << eps;
 }
 
@@ -167,21 +139,19 @@ TEST(MaskingEpsilon, SubThresholdColluderNeverFabricates) {
   // colluder's forgery can never reach the voucher threshold, so the
   // deployed rate is exactly zero, not merely small.
   const std::uint32_t n = 64, q = 16;
-  const ByzantineRun run = run_pairs(n, q, /*b=*/1, /*k=*/2, 50000,
-                                     /*seed=*/43);
+  const auto run = run_pairs(n, q, /*b=*/1, /*k=*/2, 50000, /*seed=*/43);
   EXPECT_EQ(run.fabricated, 0u);
   // Failures still occur (the other Definition 5.1 disjunct).
-  EXPECT_GT(run.failures, 0u);
+  EXPECT_GT(run.stale, 0u);
 }
 
 // Fixed seeds make the whole suite a pure function of the binary: the same
 // run twice is bit-identical, so a pass can never flake into a failure on
 // re-execution.
 TEST(MaskingEpsilon, SeededRunsAreDeterministic) {
-  const ByzantineRun a = run_pairs(64, 16, 4, 2, 20000, /*seed=*/47);
-  const ByzantineRun b = run_pairs(64, 16, 4, 2, 20000, /*seed=*/47);
-  EXPECT_EQ(a.fabricated, b.fabricated);
-  EXPECT_EQ(a.failures, b.failures);
+  const auto a = run_pairs(64, 16, 4, 2, 20000, /*seed=*/47);
+  const auto b = run_pairs(64, 16, 4, 2, 20000, /*seed=*/47);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -320,9 +320,25 @@ TEST(KvServerFaults, ResetMidRunRecoversByReconnecting) {
   FaultInjector injector;
   injector.set_action(1, FaultAction::kReset);
   const ClientStats stats = run_against_fault(injector, 1, 50);
-  EXPECT_GE(injector.resets(), 1u);
+  EXPECT_EQ(injector.resets(), 1u);
   EXPECT_GE(stats.reconnects, 1u);
   EXPECT_GT(stats.retries, 0u);
+}
+
+TEST(KvServerFaults, OrphansFailOverToAHealthyConnection) {
+  // Every incarnation of client connection A dies on its first response:
+  // it is server connection 1, and each reconnect gets the next id, 3 and
+  // up (B holds 2 and stays healthy). A kill's orphans must leave A for B
+  // rather than be re-sent together on the reconnected A, where they
+  // would die with it until their retries run out.
+  FaultInjector injector;
+  injector.set_action(1, FaultAction::kReset);
+  for (std::uint64_t id = 3; id <= 256; ++id) {
+    injector.set_action(id, FaultAction::kReset);
+  }
+  const ClientStats stats = run_against_fault(injector, 2, 200);
+  EXPECT_GE(stats.reconnects, 1u);
+  EXPECT_GT(stats.failovers, 0u);
 }
 
 TEST(KvServerFaults, TruncatedFrameRecoversByReconnecting) {
@@ -346,7 +362,7 @@ TEST(KvServerFaults, SlowLorisStallIsolatedToOneConnection) {
   FaultInjector injector;
   injector.set_action(1, FaultAction::kStall);
   const ClientStats stats = run_against_fault(injector, 2, 50);
-  EXPECT_GE(injector.stalls(), 1u);
+  EXPECT_EQ(injector.stalls(), 1u);
   EXPECT_GT(stats.timeouts, 0u);
   EXPECT_GT(stats.failovers, 0u);
 }
@@ -529,6 +545,9 @@ TEST(KvServerFaults, TruncateEndsTheStreamMidFrame) {
   ::close(fd);
   service.stop_and_drain();
   server.stop();
+  // The half frame ended the stream, so no later response asked for a
+  // verdict.
+  EXPECT_EQ(injector.truncates(), 1u);
 }
 
 TEST(KvServerAdversarial, BadOpcodeCondemnsOnlyThatConnection) {

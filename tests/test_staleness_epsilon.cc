@@ -19,7 +19,6 @@
 // select_plain return the first reply instead of the highest timestamp
 // drives the stale rate to ~1 - q/n, orders of magnitude above the bound,
 // and every test here fails.
-#include <cmath>
 #include <cstdint>
 #include <memory>
 
@@ -29,48 +28,20 @@
 #include "core/random_subset_system.h"
 #include "math/chernoff.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 
 namespace pqs::replica {
 namespace {
 
-struct StalenessRun {
-  std::uint64_t pairs = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t empty = 0;  // reads that returned ⊥ (subset of stale)
-};
-
-StalenessRun run_pairs(std::uint32_t n, std::uint32_t q, std::uint32_t crashed,
-                       std::uint64_t pairs, std::uint64_t seed) {
+serve::PairCounts run_pairs(std::uint32_t n, std::uint32_t q,
+                            std::uint32_t crashed, std::uint64_t pairs,
+                            std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(n, q);
   cfg.seed = seed;
-  InstantCluster cluster(cfg,
-                         FaultPlan::prefix(n, crashed, FaultMode::kCrash));
-  StalenessRun run;
-  run.pairs = pairs;
-  WriteResult w;
-  ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    cluster.read_into(r, 1);
-    if (!r.selection.has_value) {
-      ++run.empty;
-      ++run.stale;
-    } else if (r.selection.record.value != value) {
-      ++run.stale;
-    }
-  }
-  return run;
-}
-
-// gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by the
-// multiplicative Chernoff bound; requires gamma <= 2e-1 for the exp form.
-double margin_gamma(double mu) {
-  const double gamma = math::chernoff_margin(mu);
-  EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
-  EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
-  return gamma;
+  serve::Shard shard(std::make_unique<InstantCluster>(
+      cfg, FaultPlan::prefix(n, crashed, FaultMode::kCrash)));
+  return serve::write_read_pairs(shard, pairs);
 }
 
 TEST(StalenessEpsilon, BenignStackRespectsNonintersectionEpsilon) {
@@ -78,10 +49,10 @@ TEST(StalenessEpsilon, BenignStackRespectsNonintersectionEpsilon) {
   const std::uint64_t kPairs = 200000;
   const double eps = core::nonintersection_exact(n, q);
   ASSERT_GT(eps, 0.0);
-  const double mu = static_cast<double>(kPairs) * eps;
-  const double gamma = margin_gamma(mu);
-  const StalenessRun run = run_pairs(n, q, /*crashed=*/0, kPairs, /*seed=*/29);
-  EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+  const auto accept = math::chernoff_acceptance(kPairs, eps);
+  EXPECT_TRUE(accept.certified);
+  const auto run = run_pairs(n, q, /*crashed=*/0, kPairs, /*seed=*/29);
+  EXPECT_LE(static_cast<double>(run.stale), accept.count)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; eps=" << eps;
   // The guarantee is probabilistic, not strict: misses must actually occur
@@ -95,10 +66,10 @@ TEST(StalenessEpsilon, CrashedStackRespectsDisseminationEpsilon) {
   // Staleness ⊆ {Q ∩ Q' ⊆ crashed}, |crashed| = f.
   const double eps = core::dissemination_epsilon_exact(n, q, f);
   ASSERT_GT(eps, core::nonintersection_exact(n, q));
-  const double mu = static_cast<double>(kPairs) * eps;
-  const double gamma = margin_gamma(mu);
-  const StalenessRun run = run_pairs(n, q, f, kPairs, /*seed=*/31);
-  EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+  const auto accept = math::chernoff_acceptance(kPairs, eps);
+  EXPECT_TRUE(accept.certified);
+  const auto run = run_pairs(n, q, f, kPairs, /*seed=*/31);
+  EXPECT_LE(static_cast<double>(run.stale), accept.count)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; eps=" << eps;
   EXPECT_GT(run.stale, 0u);
@@ -108,10 +79,9 @@ TEST(StalenessEpsilon, CrashedStackRespectsDisseminationEpsilon) {
 // run twice is bit-identical, so a pass can never flake into a failure on
 // re-execution.
 TEST(StalenessEpsilon, SeededRunsAreDeterministic) {
-  const StalenessRun a = run_pairs(64, 16, 6, 20000, /*seed=*/37);
-  const StalenessRun b = run_pairs(64, 16, 6, 20000, /*seed=*/37);
-  EXPECT_EQ(a.stale, b.stale);
-  EXPECT_EQ(a.empty, b.empty);
+  const auto a = run_pairs(64, 16, 6, 20000, /*seed=*/37);
+  const auto b = run_pairs(64, 16, 6, 20000, /*seed=*/37);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -90,12 +90,21 @@ TEST(Chernoff, UpperBoundsBinomialTail) {
 }
 
 TEST(Chernoff, MarginReachesTheGateTarget) {
-  // The conformance gates' margin lands the exp branch at 1 / (2e9).
+  // The conformance gates' margin lands the exp branch at 1 / (2e9), and
+  // their acceptance rule takes (1 + margin) mu events, certified.
   for (double mu : {4.36, 10.0, 1e3, 1e6}) {
     const double gamma = chernoff_margin(mu);
     EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0) << "mu=" << mu;
     EXPECT_NEAR(chernoff_upper(mu, gamma), 0.5e-9, 1e-15) << "mu=" << mu;
+    const ChernoffAcceptance accept = chernoff_acceptance(1000, mu / 1000);
+    EXPECT_DOUBLE_EQ(accept.count, (1.0 + gamma) * mu) << "mu=" << mu;
+    EXPECT_DOUBLE_EQ(accept.rate, (1.0 + gamma) * mu / 1000) << "mu=" << mu;
+    EXPECT_TRUE(accept.certified) << "mu=" << mu;
   }
+  // Below mu = 4.35 no margin reaches 1e-9; a zero rate accepts nothing.
+  EXPECT_FALSE(chernoff_acceptance(1000, 0.004).certified);
+  const ChernoffAcceptance zero = chernoff_acceptance(1000, 0.0);
+  EXPECT_TRUE(zero.certified && zero.count == 0.0 && zero.rate == 0.0);
 }
 
 TEST(Chernoff, LowerBoundsBinomialTail) {

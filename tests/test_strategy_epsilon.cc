@@ -14,7 +14,6 @@
 // null, exactly like tests/test_staleness_epsilon.cc does for bare
 // constructions.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "math/rng.h"
 #include "quorum/strategy.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 
 namespace pqs::replica {
 namespace {
@@ -64,39 +64,13 @@ std::shared_ptr<const Strategy> uniform_strategy(std::uint32_t n,
                                     std::move(writes), probs);
 }
 
-struct StalenessRun {
-  std::uint64_t pairs = 0;
-  std::uint64_t stale = 0;
-};
-
-StalenessRun run_pairs(std::shared_ptr<const Strategy> strategy,
-                       std::uint64_t pairs, std::uint64_t seed) {
+serve::PairCounts run_pairs(std::shared_ptr<const Strategy> strategy,
+                            std::uint64_t pairs, std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.strategy = std::move(strategy);
   cfg.seed = seed;
-  InstantCluster cluster(std::move(cfg));
-  StalenessRun run;
-  run.pairs = pairs;
-  WriteResult w;
-  ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    cluster.read_into(r, 1);
-    if (!r.selection.has_value || r.selection.record.value != value) {
-      ++run.stale;
-    }
-  }
-  return run;
-}
-
-// gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by
-// the multiplicative Chernoff bound.
-double margin_gamma(double mu) {
-  const double gamma = math::chernoff_margin(mu);
-  EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
-  EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
-  return gamma;
+  serve::Shard shard(std::make_unique<InstantCluster>(std::move(cfg)));
+  return serve::write_read_pairs(shard, pairs);
 }
 
 TEST(StrategyEpsilon, UniformStrategyRespectsItsPredictedEpsilon) {
@@ -106,10 +80,10 @@ TEST(StrategyEpsilon, UniformStrategyRespectsItsPredictedEpsilon) {
   const double eps = strategy->predicted_epsilon(0.0);
   ASSERT_GT(eps, 0.0);
   const std::uint64_t kPairs = 200000;
-  const double mu = static_cast<double>(kPairs) * eps;
-  const double gamma = margin_gamma(mu);
-  const StalenessRun run = run_pairs(strategy, kPairs, /*seed=*/41);
-  EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+  const auto accept = math::chernoff_acceptance(kPairs, eps);
+  EXPECT_TRUE(accept.certified);
+  const auto run = run_pairs(strategy, kPairs, /*seed=*/41);
+  EXPECT_LE(static_cast<double>(run.stale), accept.count)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; predicted eps=" << eps;
   // Misses must actually occur at this epsilon or the harness is not
@@ -137,10 +111,10 @@ TEST(StrategyEpsilon, OptimizedStrategyRespectsItsPredictedEpsilon) {
   const std::uint64_t kPairs = 200000;
   const double eps_bound =
       std::max(strategy->predicted_epsilon(0.0), 1e-4);
-  const double mu = static_cast<double>(kPairs) * eps_bound;
-  const double gamma = margin_gamma(mu);
-  const StalenessRun run = run_pairs(strategy, kPairs, /*seed=*/43);
-  EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+  const auto accept = math::chernoff_acceptance(kPairs, eps_bound);
+  EXPECT_TRUE(accept.certified);
+  const auto run = run_pairs(strategy, kPairs, /*seed=*/43);
+  EXPECT_LE(static_cast<double>(run.stale), accept.count)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; predicted eps=" << strategy->predicted_epsilon(0.0);
 }
@@ -149,9 +123,9 @@ TEST(StrategyEpsilon, OptimizedStrategyRespectsItsPredictedEpsilon) {
 // bit-identical, so a pass can never flake into a failure.
 TEST(StrategyEpsilon, SeededRunsAreDeterministic) {
   const auto strategy = uniform_strategy(20, 5, 12, /*seed=*/0x5eed1);
-  const StalenessRun a = run_pairs(strategy, 20000, /*seed=*/47);
-  const StalenessRun b = run_pairs(strategy, 20000, /*seed=*/47);
-  EXPECT_EQ(a.stale, b.stale);
+  const auto a = run_pairs(strategy, 20000, /*seed=*/47);
+  const auto b = run_pairs(strategy, 20000, /*seed=*/47);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

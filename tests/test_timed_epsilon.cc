@@ -18,7 +18,6 @@
 // The same schedule is the replay object: shard decompositions of the
 // measurement must be bit-identical across {1, 8} worker threads, so the
 // statistical result is a pure function of the seeds.
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "core/timed_epsilon.h"
 #include "math/chernoff.h"
 #include "replica/instant_cluster.h"
+#include "serve/shard.h"
 #include "util/worker_pool.h"
 
 namespace pqs::replica {
@@ -38,65 +38,44 @@ namespace {
 constexpr std::uint32_t kN = 64;
 constexpr std::uint32_t kQ = 16;
 
-struct StalenessRun {
-  std::uint64_t pairs = 0;
-  std::uint64_t stale = 0;
-  std::uint64_t empty = 0;
-
-  bool operator==(const StalenessRun& o) const {
-    return pairs == o.pairs && stale == o.stale && empty == o.empty;
-  }
-};
-
 // One shard of the churned measurement: `pairs` write/churn(k)/read
 // triples on a dynamic cluster with every slot live (fixed fleet size, the
 // occupancy model's regime). `poisson_lambda` > 0 draws k fresh per pair
 // from Poisson(lambda) via exponential inter-arrivals on the churn stream
 // instead of using the fixed `events_per_pair`.
-StalenessRun run_shard(std::uint32_t events_per_pair, double poisson_lambda,
-                       std::uint64_t pairs, std::uint64_t seed) {
+serve::PairCounts run_shard(std::uint32_t events_per_pair,
+                            double poisson_lambda, std::uint64_t pairs,
+                            std::uint64_t seed) {
   InstantCluster::Config cfg;
   cfg.quorums = std::make_shared<core::RandomSubsetSystem>(kN, kQ);
   cfg.seed = seed;
   cfg.churn_seed = seed ^ 0xc4a84e11ULL;
   cfg.dynamic_membership = true;
-  InstantCluster cluster(cfg);
-  StalenessRun run;
-  run.pairs = pairs;
-  WriteResult w;
-  ReadResult r;
-  std::int64_t value = 0;
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    cluster.write_into(w, /*variable=*/1, ++value);
-    std::uint32_t k = events_per_pair;
-    if (poisson_lambda > 0.0) {
-      k = 0;
-      double t = cluster.churn_rng().exponential(1.0 / poisson_lambda);
-      while (t < 1.0) {
-        ++k;
-        t += cluster.churn_rng().exponential(1.0 / poisson_lambda);
-      }
-    }
-    cluster.run_churn(k);
-    cluster.read_into(r, 1);
-    if (!r.selection.has_value) {
-      ++run.empty;
-      ++run.stale;
-    } else if (r.selection.record.value != value) {
-      ++run.stale;
-    }
-  }
-  return run;
+  serve::Shard shard(std::make_unique<InstantCluster>(cfg));
+  return serve::write_read_pairs(
+      shard, pairs, [&](InstantCluster& cluster) {
+        std::uint32_t k = events_per_pair;
+        if (poisson_lambda > 0.0) {
+          k = 0;
+          double t = cluster.churn_rng().exponential(1.0 / poisson_lambda);
+          while (t < 1.0) {
+            ++k;
+            t += cluster.churn_rng().exponential(1.0 / poisson_lambda);
+          }
+        }
+        cluster.run_churn(k);
+      });
 }
 
 // The sharded measurement: `shards` independent clusters with derived
-// seeds, folded. Shard work is self-contained, so the fold is a pure
+// seeds. Shard work is self-contained, so the per-shard counts are a pure
 // function of the seeds at any worker count.
-std::vector<StalenessRun> run_shards(std::uint32_t events_per_pair,
-                                     double poisson_lambda,
-                                     std::uint64_t pairs_per_shard,
-                                     std::uint32_t shards, unsigned threads) {
-  std::vector<StalenessRun> runs(shards);
+std::vector<serve::PairCounts> run_shards(std::uint32_t events_per_pair,
+                                          double poisson_lambda,
+                                          std::uint64_t pairs_per_shard,
+                                          std::uint32_t shards,
+                                          unsigned threads) {
+  std::vector<serve::PairCounts> runs(shards);
   util::WorkerPool pool(threads);
   pool.run(shards, [&](std::uint64_t s) {
     runs[s] = run_shard(events_per_pair, poisson_lambda, pairs_per_shard,
@@ -105,23 +84,10 @@ std::vector<StalenessRun> run_shards(std::uint32_t events_per_pair,
   return runs;
 }
 
-StalenessRun fold(const std::vector<StalenessRun>& runs) {
-  StalenessRun total;
-  for (const auto& r : runs) {
-    total.pairs += r.pairs;
-    total.stale += r.stale;
-    total.empty += r.empty;
-  }
+serve::PairCounts fold(const std::vector<serve::PairCounts>& runs) {
+  serve::PairCounts total;
+  for (const auto& r : runs) total += r;
   return total;
-}
-
-// gamma sized so that P(Binomial(N, eps) > (1+gamma) N eps) <= 1e-9 by the
-// multiplicative Chernoff bound; requires gamma <= 2e-1 for the exp form.
-double margin_gamma(double mu) {
-  const double gamma = math::chernoff_margin(mu);
-  EXPECT_LE(gamma, 2.0 * std::exp(1.0) - 1.0);
-  EXPECT_LE(math::chernoff_upper(mu, gamma), 1e-9);
-  return gamma;
 }
 
 // --- Estimator analytics -------------------------------------------------
@@ -182,13 +148,13 @@ TEST(TimedEpsilon, ChurnedStackRespectsTimedEpsilonAtThreeRates) {
   for (const std::uint32_t k : {2u, 8u, 32u}) {
     const double eps = core::timed_epsilon_events(kN, kQ, k);
     ASSERT_GT(eps, core::nonintersection_exact(kN, kQ));
-    const double mu =
-        static_cast<double>(kShards * kPairsPerShard) * eps;
-    const double gamma = margin_gamma(mu);
-    const StalenessRun run = fold(run_shards(
+    const auto accept =
+        math::chernoff_acceptance(kShards * kPairsPerShard, eps);
+    EXPECT_TRUE(accept.certified) << "k=" << k;
+    const auto run = fold(run_shards(
         k, /*poisson_lambda=*/0.0, kPairsPerShard, kShards,
         /*threads=*/8));
-    EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+    EXPECT_LE(static_cast<double>(run.stale), accept.count)
         << "k=" << k << ": observed " << run.stale << " stale reads over "
         << run.pairs << " pairs; eps=" << eps;
     // Churn must actually cost something at these rates, or the harness
@@ -205,12 +171,13 @@ TEST(TimedEpsilon, PoissonChurnRespectsRateEstimator) {
   constexpr std::uint64_t kPairsPerShard = 12500;  // 100k pairs total
   const double lambda = 6.0;
   const double eps = core::estimate_timed_epsilon(kN, kQ, lambda, 1.0);
-  const double mu = static_cast<double>(kShards * kPairsPerShard) * eps;
-  const double gamma = margin_gamma(mu);
-  const StalenessRun run = fold(run_shards(
+  const auto accept =
+      math::chernoff_acceptance(kShards * kPairsPerShard, eps);
+  EXPECT_TRUE(accept.certified);
+  const auto run = fold(run_shards(
       /*events_per_pair=*/0, lambda, kPairsPerShard, kShards,
       /*threads=*/8));
-  EXPECT_LE(static_cast<double>(run.stale), (1.0 + gamma) * mu)
+  EXPECT_LE(static_cast<double>(run.stale), accept.count)
       << "observed " << run.stale << " stale reads over " << run.pairs
       << " pairs; eps=" << eps;
   EXPECT_GT(run.stale, 0u);
