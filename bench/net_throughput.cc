@@ -78,7 +78,8 @@ std::vector<SectionSpec> make_sections() {
 // origin is the send instant. Paced, the client holds the open-loop
 // schedule and the deadline is the origin: a backed-up server charges its
 // stall to every op that was due meanwhile. Ops already in the coalescing
-// buffer go out before the client idles.
+// buffer go out before the client idles, and the client reads responses
+// while it idles, so each latency is recorded when its response arrives.
 void send_stream(net::Client& client, workload::OpenLoopGenerator& gen,
                  std::uint64_t ops) {
   const bool paced = gen.spec().arrival_rate > 0.0;
@@ -89,7 +90,9 @@ void send_stream(net::Client& client, workload::OpenLoopGenerator& gen,
     if (paced) {
       if (client.now_ns() < op.scheduled_ns) {
         client.flush();
-        while (client.now_ns() < op.scheduled_ns) std::this_thread::yield();
+        while (client.now_ns() < op.scheduled_ns) {
+          if (client.poll() == 0) std::this_thread::yield();
+        }
       }
       scheduled = op.scheduled_ns;
     } else {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <thread>
 
 #include "util/require.h"
 
@@ -18,6 +19,8 @@ namespace {
 // send() flushes a connection's buffer once it holds this many bytes, so
 // one syscall carries many 32-byte frames.
 constexpr std::size_t kFlushBytes = 8192;
+// Each connection's response decoder: one recv() fills up to this much.
+constexpr std::size_t kRecvBytes = 1 << 16;
 // connect() attempts per connection, and the backoff between them.
 constexpr std::uint32_t kConnectAttempts = 5;
 constexpr std::uint64_t kConnectBackoffNs = 1'000'000;  // first retry delay
@@ -85,11 +88,8 @@ void Client::start() {
     conn->fd = connect_with_backoff();
     PQS_REQUIRE(conn->fd >= 0, "client connect() failed after retries");
     conn->sendbuf.reserve(kFlushBytes + kFrameBytes);
+    conn->decoder = FrameDecoder(kRecvBytes);
     conns_.push_back(std::move(conn));
-  }
-  for (auto& conn : conns_) {
-    Conn* c = conn.get();
-    c->reader = std::thread([this, c] { reader_loop(*c); });
   }
   running_ = true;
 }
@@ -106,9 +106,7 @@ std::uint32_t Client::pick_usable(std::uint32_t start_index) {
     const std::uint32_t idx =
         (start_index + i) % static_cast<std::uint32_t>(conns_.size());
     Conn& conn = *conns_[idx];
-    if (!conn.failed.load(std::memory_order_acquire) || reconnect(conn)) {
-      return idx;
-    }
+    if (!conn.failed || reconnect(conn)) return idx;
   }
   PQS_REQUIRE(false, "every client connection failed and reconnect failed");
   return 0;
@@ -121,13 +119,8 @@ void Client::enqueue_op(Conn& conn, std::uint32_t index,
   frame.request_id = next_id_++;
   frame.key = op.key;
   frame.value = op.value;
-  PendingOp stored = op;
+  PendingOp& stored = conn.pending.emplace(frame.request_id, op).first->second;
   stored.origin = index;
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    conn.pending.emplace(frame.request_id, stored);
-  }
-  conn.outstanding.fetch_add(1, std::memory_order_acq_rel);
   const std::size_t used = conn.sendbuf.size();
   conn.sendbuf.resize(used + kFrameBytes);
   encode_frame(frame, conn.sendbuf.data() + used);
@@ -141,20 +134,17 @@ void Client::send(std::uint64_t key, std::int64_t value, bool is_read,
   for (;;) {
     const std::uint32_t idx = pick_usable(start);
     Conn& conn = *conns_[idx];
-    // Window full: push what we have and wait for responses to free
-    // slots. The spin is measured — an open-loop driver's schedule keeps
+    // Window full: push what we have and read responses until a slot
+    // frees. The spin is measured — an open-loop driver's schedule keeps
     // slipping, so the stall shows up as latency, never as omitted load.
     // With deadlines armed the spin also reaps expired requests, which is
     // what lets the driver escape a stalled connection.
-    if (conn.outstanding.load(std::memory_order_acquire) >= config_.window) {
+    if (conn.pending.size() >= config_.window) {
       flush_conn(conn);
-      while (conn.outstanding.load(std::memory_order_acquire) >=
-                 config_.window &&
-             !conn.failed.load(std::memory_order_acquire)) {
-        if (deadlines_armed()) reap_expired();
-        std::this_thread::yield();
+      while (conn.pending.size() >= config_.window && !conn.failed) {
+        wait_turn();
       }
-      if (conn.failed.load(std::memory_order_acquire)) continue;  // re-pick
+      if (conn.failed) continue;  // re-pick
     }
     PendingOp op;
     op.scheduled_ns = scheduled_ns;
@@ -166,7 +156,10 @@ void Client::send(std::uint64_t key, std::int64_t value, bool is_read,
     op.attempts = 1;
     enqueue_op(conn, idx, op);
     ++sent_;
-    if (conn.sendbuf.size() >= kFlushBytes) flush_conn(conn);
+    if (conn.sendbuf.size() >= kFlushBytes) {
+      flush_conn(conn);
+      poll();
+    }
     return;
   }
 }
@@ -182,7 +175,7 @@ void Client::flush_conn(Conn& conn) {
       // The connection is gone. With deadlines armed the pending entries
       // are recovered by reconnect/reap; without them this is fatal, as
       // it always was.
-      conn.failed.store(true, std::memory_order_release);
+      conn.failed = true;
       conn.sendbuf.clear();
       PQS_REQUIRE(deadlines_armed(), "client send failed");
       return;
@@ -197,10 +190,6 @@ void Client::flush() {
 }
 
 bool Client::reconnect(Conn& conn) {
-  // Driver-thread-only. The reader may still be blocked in recv() when
-  // the *driver* discovered the failure (send error); shutdown wakes it.
-  if (conn.fd >= 0) ::shutdown(conn.fd, SHUT_RDWR);
-  if (conn.reader.joinable()) conn.reader.join();
   if (conn.fd >= 0) ::close(conn.fd);
   conn.fd = -1;
   // Salvage in-flight requests: the server may or may not have processed
@@ -208,22 +197,18 @@ bool Client::reconnect(Conn& conn) {
   // at-least-once delivery, which is the right trade for an idempotent
   // KV workload.
   std::vector<PendingOp> orphans;
-  {
-    std::lock_guard<std::mutex> lock(conn.pending_mutex);
-    orphans.reserve(conn.pending.size());
-    for (auto& [id, op] : conn.pending) orphans.push_back(op);
-    conn.pending.clear();
-  }
-  conn.outstanding.store(0, std::memory_order_release);
+  orphans.reserve(conn.pending.size());
+  for (auto& [id, op] : conn.pending) orphans.push_back(op);
+  conn.pending.clear();
   conn.sendbuf.clear();
+  conn.decoder = FrameDecoder(kRecvBytes);  // drop any partial frame
   PQS_REQUIRE(deadlines_armed() || orphans.empty(),
               "client connection failed with requests in flight "
               "(arm request_timeout_ns for retries)");
   const int fd = connect_with_backoff();
   if (fd < 0) return false;  // stays failed; caller fails over
   conn.fd = fd;
-  conn.failed.store(false, std::memory_order_release);
-  conn.reader = std::thread([this, &conn] { reader_loop(conn); });
+  conn.failed = false;
   ++reconnects_;
   for (const PendingOp& op : orphans) retry(op);
   return true;
@@ -234,12 +219,10 @@ void Client::reap_expired() {
   const std::uint64_t now = now_ns();
   std::vector<PendingOp> expired;
   for (auto& conn : conns_) {
-    std::lock_guard<std::mutex> lock(conn->pending_mutex);
     for (auto it = conn->pending.begin(); it != conn->pending.end();) {
       if (it->second.deadline_ns <= now) {
         expired.push_back(it->second);
         it = conn->pending.erase(it);
-        conn->outstanding.fetch_sub(1, std::memory_order_acq_rel);
       } else {
         ++it;
       }
@@ -265,28 +248,31 @@ void Client::retry(const PendingOp& op) {
   flush_conn(*conns_[idx]);  // retries skip coalescing
 }
 
+void Client::wait_turn() {
+  if (poll() > 0) return;
+  reap_expired();
+  std::this_thread::yield();
+}
+
 void Client::drain() {
   flush();
   // One global in-flight count, not a per-connection sweep: a deadline
   // reap fails a request over to the *next* usable connection, which
   // wraps — a retry can land on a connection this loop already saw, so
-  // only all-connections-simultaneously-zero means drained.
+  // only all-connections-simultaneously-zero means drained. With
+  // deadlines armed, the reap inside wait_turn() keeps the drain live:
+  // expired requests are retried elsewhere or abandoned, so a dead
+  // connection cannot wedge shutdown.
   for (;;) {
-    std::uint64_t in_flight = 0;
+    std::size_t in_flight = 0;
     for (auto& conn : conns_) {
-      in_flight += conn->outstanding.load(std::memory_order_acquire);
-      PQS_REQUIRE(deadlines_armed() ||
-                      !conn->failed.load(std::memory_order_acquire),
+      in_flight += conn->pending.size();
+      PQS_REQUIRE(deadlines_armed() || !conn->failed ||
+                      conn->pending.empty(),
                   "client connection failed while draining");
     }
     if (in_flight == 0) return;
-    if (deadlines_armed()) {
-      // Deadline recovery keeps the drain live: expired requests are
-      // retried elsewhere or abandoned, so a dead connection cannot
-      // wedge shutdown.
-      reap_expired();
-    }
-    std::this_thread::yield();
+    wait_turn();
   }
 }
 
@@ -294,111 +280,74 @@ void Client::stop() {
   if (!running_) return;
   drain();
   for (auto& conn : conns_) {
-    // Readers block in recv(); a shutdown wakes them with EOF.
-    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
-  }
-  for (auto& conn : conns_) {
-    if (conn->reader.joinable()) conn->reader.join();
     if (conn->fd >= 0) ::close(conn->fd);
+    conn->fd = -1;
   }
   running_ = false;
 }
 
-void Client::reader_loop(Conn& conn) {
-  FrameDecoder decoder(1 << 16);
-  std::vector<unsigned char> buf(1 << 16);
+std::size_t Client::poll() {
+  std::size_t matched = 0;
+  for (auto& conn : conns_) {
+    if (!conn->failed) matched += read_responses(*conn);
+  }
+  return matched;
+}
+
+std::size_t Client::read_responses(Conn& conn) {
+  std::size_t matched = 0;
   Frame frame;
   for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf.data(), buf.size(), 0);
+    // Straight into the decoder's ring. After each pass it holds less
+    // than one frame, so the first span is most of the ring.
+    FrameDecoder::Span spans[2];
+    conn.decoder.writable(spans);
+    const ssize_t n =
+        ::recv(conn.fd, spans[0].data, spans[0].size, MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      conn.failed.store(true, std::memory_order_release);
-      return;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) conn.failed = true;
+      return matched;
     }
     if (n == 0) {
-      // EOF with requests still in flight means the server (or an
-      // injected fault) closed on us — flag it so the driver reconnects.
-      // A clean EOF during stop() leaves nothing pending.
-      bool in_flight;
-      {
-        std::lock_guard<std::mutex> lock(conn.pending_mutex);
-        in_flight = !conn.pending.empty();
-      }
-      if (in_flight) conn.failed.store(true, std::memory_order_release);
-      return;
+      // EOF: the server (or an injected fault) closed on us. Failing the
+      // connection hands its in-flight requests to reconnect and the
+      // deadline reap; a strict client stops at its next check.
+      conn.failed = true;
+      return matched;
     }
-    std::size_t offset = 0;
-    while (offset < static_cast<std::size_t>(n)) {
-      offset += decoder.feed(buf.data() + offset,
-                             static_cast<std::size_t>(n) - offset);
-      for (;;) {
-        const FrameDecoder::Result r = decoder.next(frame);
-        if (r == FrameDecoder::Result::kNeedMore) break;
-        if (r == FrameDecoder::Result::kError) {
-          conn.failed.store(true, std::memory_order_release);
-          return;
-        }
-        std::uint64_t scheduled = 0;
-        bool known = false;
-        {
-          std::lock_guard<std::mutex> lock(conn.pending_mutex);
-          const auto it = conn.pending.find(frame.request_id);
-          if (it != conn.pending.end()) {
-            scheduled = it->second.scheduled_ns;
-            known = true;
-            conn.pending.erase(it);
-          }
-        }
-        if (!known) {
-          // With deadlines armed this is a response that lost the race
-          // against its own timeout (the request was retried or
-          // abandoned) — count it and move on. Without deadlines an
-          // unknown id is a protocol violation, as before.
-          if (deadlines_armed()) {
-            conn.late_responses.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          conn.failed.store(true, std::memory_order_release);
-          return;
-        }
-        const std::uint64_t now = now_ns();
-        conn.histogram.record(now > scheduled ? now - scheduled : 0);
-        ++conn.received;
-        if (frame.op == Op::kGet) {
-          if (frame.found) {
-            ++conn.reads_found;
-          } else {
-            ++conn.reads_empty;
-          }
-        }
-        conn.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+    conn.decoder.commit(static_cast<std::size_t>(n));
+    const std::uint64_t now = now_ns();
+    for (;;) {
+      const FrameDecoder::Result r = conn.decoder.next(frame);
+      if (r == FrameDecoder::Result::kNeedMore) break;
+      if (r == FrameDecoder::Result::kError) {
+        conn.failed = true;
+        return matched;
       }
+      const auto it = conn.pending.find(frame.request_id);
+      if (it == conn.pending.end()) {
+        // With deadlines armed this is a response that lost the race
+        // against its own timeout (the request was retried or
+        // abandoned) — count it and move on. Without deadlines an
+        // unknown id is a protocol violation, as before.
+        if (deadlines_armed()) {
+          ++late_responses_;
+          continue;
+        }
+        conn.failed = true;
+        return matched;
+      }
+      const std::uint64_t scheduled = it->second.scheduled_ns;
+      conn.pending.erase(it);
+      histogram_.record(now > scheduled ? now - scheduled : 0);
+      ++received_;
+      if (frame.op == Op::kGet) ++(frame.found ? reads_found_ : reads_empty_);
+      ++matched;
     }
+    // A short read drained the socket; no second call just to see EAGAIN.
+    if (static_cast<std::size_t>(n) < spans[0].size) return matched;
   }
-}
-
-std::uint64_t Client::received() const {
-  std::uint64_t total = 0;
-  for (const auto& conn : conns_) total += conn->received;
-  return total;
-}
-
-std::uint64_t Client::reads_found() const {
-  std::uint64_t total = 0;
-  for (const auto& conn : conns_) total += conn->reads_found;
-  return total;
-}
-
-std::uint64_t Client::reads_empty() const {
-  std::uint64_t total = 0;
-  for (const auto& conn : conns_) total += conn->reads_empty;
-  return total;
-}
-
-stats::LatencyHistogram Client::histogram() const {
-  stats::LatencyHistogram merged;
-  for (const auto& conn : conns_) merged.merge(conn->histogram);
-  return merged;
 }
 
 ClientStats Client::stats() const {
@@ -408,11 +357,8 @@ ClientStats Client::stats() const {
   s.failovers = failovers_;
   s.reconnects = reconnects_;
   s.abandoned = abandoned_;
+  s.late_responses = late_responses_;
   s.connect_retries = connect_retries_;
-  for (const auto& conn : conns_) {
-    s.late_responses +=
-        conn->late_responses.load(std::memory_order_relaxed);
-  }
   return s;
 }
 

@@ -1,21 +1,27 @@
 // A pipelined, multi-connection TCP client for the serving tier.
 //
-// The bench driver thread calls send() for every generated operation:
-// frames are coalesced into a per-connection send buffer (flushed at a
-// size threshold, so a syscall carries many 32-byte frames) and assigned
-// round-robin across M connections. One reader thread per connection
-// decodes responses as they arrive — responses complete in shard-worker
-// order, not send order, so each is matched to its request by the echoed
-// request_id — and records end-to-end latency against the operation's
-// scheduled arrival time into a reader-private LatencyHistogram
-// (coordinated-omission-safe when the driver paces to a fixed schedule;
-// pure round-trip time when unpaced).
+// One thread does everything: the driver thread that calls send() also
+// reads and matches the responses, and makes every other call, so start()
+// launches no thread and each socket has one user. (A reader thread per
+// connection made send() and recv() serialize on the socket's lock.)
+//
+// send() coalesces frames into a per-connection buffer (flushed at a size
+// threshold, so a syscall carries many 32-byte frames) and assigns them
+// round-robin across M connections. Responses are read with non-blocking
+// recv() where the driver already stops: the window-full wait, right
+// after a size-triggered flush, drain(), and poll(). They complete in
+// shard-worker order, not send order, so each is matched to its request
+// by the echoed request_id. Its latency from the operation's scheduled
+// arrival time (coordinated-omission-safe when the driver paces to a
+// fixed schedule; pure round-trip time when unpaced) is recorded when the
+// driver reads it, so a paced driver must call poll() while it idles, or
+// responses wait in the socket and are recorded late.
 //
 // Pipelining is bounded by `window` outstanding requests per connection:
-// a full window flushes and spins the driver, so client memory stays
-// bounded while the wire stays saturated. With connections = 1 the send
-// order is the wire order, which is the determinism precondition the
-// net_throughput bit-identity gates rely on.
+// a full window flushes and spins the driver on reads, so client memory
+// stays bounded while the wire stays saturated. With connections = 1 the
+// send order is the wire order, which is the determinism precondition
+// the net_throughput bit-identity gates rely on.
 //
 // Fault tolerance. A failed connect() (in start() or a reconnect) is
 // retried with jittered capped exponential backoff, up to five attempts
@@ -23,29 +29,25 @@
 // opt-in; without it the client keeps the original fail-fast behavior
 // byte for byte, which is what the bit-identity benches run under:
 //   * request_timeout_ns > 0 arms a per-request deadline. Expired
-//     requests are reaped on the driver thread (inside the window-full
-//     spin and drain()), retried up to max_retries times under jittered
-//     exponential backoff on the next usable connection (failover), and
-//     abandoned after that — so a stalled, reset, or truncated server
-//     connection degrades one connection's requests instead of wedging
-//     the run;
-//   * a failed connection is lazily reconnected by the driver the next
-//     time round-robin lands on it; its in-flight requests are retried
-//     by the same rule, one by one, so the requests a kill orphans do
-//     not share that connection's fate again.
-// Backoff jitter comes from the client's own fixed-seed math::Rng stream —
-// never from any quorum stream, so client-side fault handling cannot
-// perturb a single quorum draw. All recovery counters are surfaced in
-// stats().
+//     requests are reaped inside the window-full spin and drain(),
+//     retried up to max_retries times under jittered exponential backoff
+//     on the next usable connection (failover), and abandoned after that
+//     — so a stalled, reset, or truncated server connection degrades one
+//     connection's requests instead of wedging the run;
+//   * a failed connection is lazily reconnected the next time
+//     round-robin lands on it; its in-flight requests are retried by the
+//     same rule, one by one, so the requests a kill orphans do not share
+//     that connection's fate again.
+// Backoff jitter comes from the client's own fixed-seed math::Rng stream,
+// never a quorum stream, so fault handling cannot perturb a quorum draw.
+// stats() surfaces every recovery counter.
 #pragma once
 
-#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -86,42 +88,44 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // Connects every connection (retrying a failed connect()) and
-  // launches the reader threads; the client clock (now_ns(), the
-  // timebase of scheduled_ns) starts here.
+  // Connects every connection (retrying a failed connect()) and starts
+  // the client clock (now_ns(), the timebase of scheduled_ns). Starts no
+  // thread.
   void start();
 
   // Queues one GET (is_read) or PUT. scheduled_ns is the latency origin:
-  // the open-loop deadline when pacing, now_ns() when not. Single driver
-  // thread by contract.
+  // the open-loop deadline when pacing, now_ns() when not.
   void send(std::uint64_t key, std::int64_t value, bool is_read,
             std::uint64_t scheduled_ns);
 
   // Pushes every coalesced buffer to the kernel.
   void flush();
 
-  // flush(), then waits until every sent request has its response (or,
+  // Reads and matches every response that has already arrived, on every
+  // connection, without blocking; returns how many it matched. A paced
+  // driver calls it while it waits for the next scheduled send.
+  std::size_t poll();
+
+  // flush(), then reads until every sent request has its response (or,
   // with deadlines armed, was retried/abandoned).
   void drain();
 
-  // drain(), shuts the sockets down, joins the readers. Idempotent.
+  // drain(), then closes the sockets. Idempotent.
   void stop();
 
   std::uint64_t now_ns() const;
 
   std::uint64_t sent() const { return sent_; }
-  std::uint64_t received() const;
-  std::uint64_t reads_found() const;   // GET responses with a selection
-  std::uint64_t reads_empty() const;   // GET responses without one
-  // Merged over the per-connection reader histograms. Only meaningful
-  // after drain() (readers quiesce once every response has arrived).
-  stats::LatencyHistogram histogram() const;
-  // Recovery counters; call from the driver thread (or after stop()).
+  std::uint64_t received() const { return received_; }
+  std::uint64_t reads_found() const { return reads_found_; }  // GET hits
+  std::uint64_t reads_empty() const { return reads_empty_; }  // GET misses
+  // Latency of each response read so far, readable at any time; after
+  // drain(), of every response.
+  const stats::LatencyHistogram& histogram() const { return histogram_; }
   ClientStats stats() const;
 
  private:
-  // One queued request awaiting its response. The driver inserts,
-  // the reader erases on match, the driver reaps on deadline.
+  // One queued request awaiting its response.
   struct PendingOp {
     std::uint64_t scheduled_ns = 0;
     std::uint64_t deadline_ns = 0;  // 0 = no deadline armed
@@ -134,42 +138,38 @@ class Client {
 
   struct Conn {
     int fd = -1;
+    bool failed = false;
     std::vector<unsigned char> sendbuf;
-    // request_id -> op; driver inserts, reader erases.
-    std::mutex pending_mutex;
+    FrameDecoder decoder;
+    // request_id -> op; its size is the connection's outstanding count.
     std::unordered_map<std::uint64_t, PendingOp> pending;
-    std::atomic<std::uint64_t> outstanding{0};
-    std::thread reader;
-    // Reader-private until the reader joins (stop()).
-    stats::LatencyHistogram histogram;
-    std::uint64_t received = 0;
-    std::uint64_t reads_found = 0;
-    std::uint64_t reads_empty = 0;
-    std::atomic<std::uint64_t> late_responses{0};
-    std::atomic<bool> failed{false};
   };
 
   void flush_conn(Conn& conn);
-  void reader_loop(Conn& conn);
+  // Reads and matches what has arrived on `conn` without blocking;
+  // marks it failed on EOF, a socket error or a bad response.
+  std::size_t read_responses(Conn& conn);
   // connect() with capped jittered backoff; -1 after the last attempt.
   int connect_with_backoff();
-  // Driver-side: index of the first usable connection at or after
-  // start_index, lazily reconnecting failed ones; requires one to be
-  // usable.
+  // Index of the first usable connection at or after start_index,
+  // lazily reconnecting failed ones; requires one to be usable.
   std::uint32_t pick_usable(std::uint32_t start_index);
-  // Driver-side: tears down and re-establishes one failed connection,
-  // retrying its orphaned in-flight requests. False if connect fails.
+  // Tears down and re-establishes one failed connection, retrying its
+  // orphaned in-flight requests. False if connect fails.
   bool reconnect(Conn& conn);
-  // Driver-side: scans every connection for requests past their
-  // deadline and retries each. No-op without deadlines.
+  // Scans every connection for requests past their deadline and retries
+  // each. No-op without deadlines.
   void reap_expired();
-  // Driver-side: the one retry rule, for expired requests and a dead
-  // connection's orphans alike. Abandons `op` past max_retries; else
-  // re-sends it after a backoff on the first usable connection after
-  // the one it was last sent on, so it leaves a suspect connection.
+  // The one retry rule, for expired requests and a dead connection's
+  // orphans alike. Abandons `op` past max_retries; else re-sends it
+  // after a backoff on the first usable connection after the one it was
+  // last sent on, so it leaves a suspect connection.
   void retry(const PendingOp& op);
   // Appends one frame for `op` to `conn` and registers it in pending.
   void enqueue_op(Conn& conn, std::uint32_t index, const PendingOp& op);
+  // One turn of the window-full and drain() spins: poll(); if nothing
+  // matched, reap expired requests and yield.
+  void wait_turn();
   void backoff_sleep(std::uint64_t base_ns, std::uint64_t cap_ns,
                      std::uint32_t attempt);
   bool deadlines_armed() const { return config_.request_timeout_ns > 0; }
@@ -181,13 +181,18 @@ class Client {
   std::uint64_t sent_ = 0;
   std::uint32_t next_conn_ = 0;
   std::chrono::steady_clock::time_point epoch_{};
-  // Driver-thread-only recovery state.
+  stats::LatencyHistogram histogram_;
+  std::uint64_t received_ = 0;
+  std::uint64_t reads_found_ = 0;
+  std::uint64_t reads_empty_ = 0;
+  // Recovery state.
   math::Rng retry_rng_;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t failovers_ = 0;
   std::uint64_t reconnects_ = 0;
   std::uint64_t abandoned_ = 0;
+  std::uint64_t late_responses_ = 0;
   std::uint64_t connect_retries_ = 0;
 };
 

@@ -94,7 +94,7 @@ class FrameDecoder {
   void commit(std::size_t n);
 
   // Copy-in convenience for producers that already hold the bytes (the
-  // client's reader, the fuzz tests). Returns how many bytes fit.
+  // tests, the decode probe). Returns how many bytes fit.
   std::size_t feed(const void* data, std::size_t n);
 
   // Parses the next complete frame out of the buffered bytes. After

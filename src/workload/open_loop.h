@@ -59,8 +59,6 @@ class OpenLoopGenerator {
   // arrival schedule. Allocation-free after construction.
   void next(Operation& out);
 
-  std::uint64_t generated() const { return generated_; }
-
  private:
   OpenLoopSpec spec_;
   ZipfianKeys keys_;

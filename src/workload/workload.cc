@@ -7,8 +7,7 @@
 
 namespace pqs::workload {
 
-ZipfianKeys::ZipfianKeys(std::uint64_t keys, double exponent)
-    : exponent_(exponent) {
+ZipfianKeys::ZipfianKeys(std::uint64_t keys, double exponent) {
   PQS_REQUIRE(keys >= 1, "zipfian needs keys");
   PQS_REQUIRE(exponent >= 0.0, "zipfian exponent");
   cdf_.resize(keys);

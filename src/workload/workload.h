@@ -19,9 +19,6 @@ class ZipfianKeys {
  public:
   ZipfianKeys(std::uint64_t keys, double exponent);
 
-  std::uint64_t keys() const { return static_cast<std::uint64_t>(cdf_.size()); }
-  double exponent() const { return exponent_; }
-
   // Draws a key in [1, keys] (rank order: key 1 is the hottest).
   std::uint64_t sample(math::Rng& rng) const;
 
@@ -29,7 +26,6 @@ class ZipfianKeys {
   double probability(std::uint64_t key) const;
 
  private:
-  double exponent_;
   std::vector<double> cdf_;
 };
 

@@ -2,11 +2,13 @@
 // loopback.
 //
 // These are tier-1 tests (ASan/UBSan and TSan jobs run them), so they
-// double as race checks for the epoll loops, the worker→IO completion
-// handoff, and the client's reader threads. The load-bearing contract is
-// the tentpole gate in miniature: with a single client connection the
-// per-shard deterministic aggregates observed through the socket path
-// must equal committed goldens at every service worker count.
+// double as race checks for the epoll loops and the worker→IO completion
+// handoff. The client runs on its caller's thread: two tests pin that
+// start() launches no thread and that poll() alone matches responses.
+// The load-bearing contract is the tentpole gate in miniature: with a
+// single client connection the per-shard deterministic aggregates
+// observed through the socket path must equal committed goldens at
+// every service worker count.
 // The rest pins down GET/PUT semantics, out-of-order response matching
 // under pipelining, the inline STATS opcode, and that garbage on the
 // wire closes the connection instead of wedging the server.
@@ -53,6 +55,15 @@ serve::KvService::Config service_config(std::uint32_t shards,
   cfg.quorums = majority();
   cfg.seed = 99;
   return cfg;
+}
+
+// Entries in a /proc/self directory: the process's open descriptors in
+// fd, its threads in task. The iterator's own descriptor is open during
+// every count, so counts compare.
+std::size_t proc_entries(const char* dir) {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(dir),
+                    std::filesystem::directory_iterator{}));
 }
 
 // One server deployment driven over loopback by one pipelined
@@ -271,6 +282,60 @@ TEST(KvServer, GarbageBytesCloseTheConnectionNotTheServer) {
   server.stop();
 }
 
+// ---- the client runs on its caller's thread -------------------------------
+
+TEST(Client, StartsNoThreads) {
+  serve::KvService service(service_config(2, 2));
+  KvServer server(KvServer::Config{}, service);
+  server.start();
+  service.start();
+
+  Client::Config cfg;
+  cfg.port = server.port();
+  cfg.connections = 4;
+  Client client(cfg);
+  const std::size_t threads_before = proc_entries("/proc/self/task");
+  client.start();
+  EXPECT_EQ(proc_entries("/proc/self/task"), threads_before);
+  client.send(1, 11, false, client.now_ns());
+  client.drain();
+  EXPECT_EQ(client.received(), 1u);
+  client.stop();
+  service.stop_and_drain();
+  server.stop();
+}
+
+TEST(Client, PollMatchesArrivedResponses) {
+  // 64 frames stay under the flush threshold and the window, so send()
+  // reads nothing: every response is matched by poll(), and its latency
+  // is in the histogram without a drain().
+  serve::KvService service(service_config(2, 1));
+  KvServer server(KvServer::Config{}, service);
+  server.start();
+  service.start();
+
+  Client::Config cfg;
+  cfg.port = server.port();
+  Client client(cfg);
+  client.start();
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    client.send(i % 13, static_cast<std::int64_t>(i), (i % 2) == 0,
+                client.now_ns());
+  }
+  client.flush();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (client.received() < 64 &&
+         std::chrono::steady_clock::now() < deadline) {
+    client.poll();
+  }
+  EXPECT_EQ(client.received(), 64u);
+  EXPECT_EQ(client.histogram().count(), 64u);
+  client.stop();
+  service.stop_and_drain();
+  server.stop();
+}
+
 // ---- injected connection faults vs the hardened client --------------------
 
 // One server deployment with an injected fault pinned on the first
@@ -342,9 +407,9 @@ TEST(KvServerFaults, OrphansFailOverToAHealthyConnection) {
 }
 
 TEST(KvServerFaults, TruncatedFrameRecoversByReconnecting) {
-  // Half a response frame, then an orderly close: the reader is left
-  // mid-frame at EOF, which must fail the connection (not wedge the
-  // decoder) and hand recovery to the driver's deadline machinery.
+  // Half a response frame, then an orderly close: the client's decoder
+  // is left mid-frame at EOF, which must fail the connection (not wedge
+  // the decoder) and hand recovery to the deadline machinery.
   FaultInjector injector;
   injector.set_action(1, FaultAction::kTruncate);
   const ClientStats stats = run_against_fault(injector, 1, 50);
@@ -720,14 +785,6 @@ TEST(KvServerAdversarial, SharedRequestIdsStayOnTheirOwnConnections) {
   server.stop();
 }
 
-// Entries in /proc/self/fd: the process's open descriptors. The
-// iterator's own descriptor is open during every count, so counts compare.
-std::size_t open_fd_count() {
-  return static_cast<std::size_t>(
-      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
-                    std::filesystem::directory_iterator{}));
-}
-
 // A peer that resets while its responses are being flushed must not pin
 // its connection. The flush's hard send error can be the server's only
 // notice, so the fd has to be reaped there. Raw sockets pipeline GETs,
@@ -754,7 +811,7 @@ TEST(KvServerAdversarial, PeerResetDuringFlushReleasesItsFd) {
   linger abort{};
   abort.l_onoff = 1;
   abort.l_linger = 0;
-  const std::size_t fds_before = open_fd_count();
+  const std::size_t fds_before = proc_entries("/proc/self/fd");
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     const int fd = raw_connect(server.port());
     send_all(fd, wire.data(), wire.size());
@@ -765,11 +822,11 @@ TEST(KvServerAdversarial, PeerResetDuringFlushReleasesItsFd) {
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (open_fd_count() > fds_before &&
+  while (proc_entries("/proc/self/fd") > fds_before &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(open_fd_count(), fds_before)
+  EXPECT_EQ(proc_entries("/proc/self/fd"), fds_before)
       << "server-side connections leaked after " << kCycles << " resets";
   service.stop_and_drain();
   server.stop();
