@@ -57,7 +57,7 @@ void Client::backoff_sleep(std::uint64_t base_ns, std::uint64_t cap_ns,
 int Client::connect_with_backoff() {
   for (std::uint32_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
     if (attempt > 0) {
-      ++connect_retries_;
+      ++stats_.connect_retries;
       backoff_sleep(kConnectBackoffNs, kConnectBackoffCapNs, attempt - 1);
     }
     const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -209,7 +209,7 @@ bool Client::reconnect(Conn& conn) {
   if (fd < 0) return false;  // stays failed; caller fails over
   conn.fd = fd;
   conn.failed = false;
-  ++reconnects_;
+  ++stats_.reconnects;
   for (const PendingOp& op : orphans) retry(op);
   return true;
 }
@@ -228,19 +228,19 @@ void Client::reap_expired() {
       }
     }
   }
-  timeouts_ += expired.size();
+  stats_.timeouts += expired.size();
   for (const PendingOp& op : expired) retry(op);
 }
 
 void Client::retry(const PendingOp& op) {
   if (op.attempts > config_.max_retries) {
-    ++abandoned_;
+    ++stats_.abandoned;
     return;
   }
-  ++retries_;
+  ++stats_.retries;
   backoff_sleep(kRetryBackoffNs, kRetryBackoffCapNs, op.attempts - 1);
   const std::uint32_t idx = pick_usable(op.origin + 1);
-  if (idx != op.origin) ++failovers_;
+  if (idx != op.origin) ++stats_.failovers;
   PendingOp again = op;
   ++again.attempts;
   again.deadline_ns = now_ns() + config_.request_timeout_ns;
@@ -332,7 +332,7 @@ std::size_t Client::read_responses(Conn& conn) {
         // abandoned) — count it and move on. Without deadlines an
         // unknown id is a protocol violation, as before.
         if (deadlines_armed()) {
-          ++late_responses_;
+          ++stats_.late_responses;
           continue;
         }
         conn.failed = true;
@@ -348,18 +348,6 @@ std::size_t Client::read_responses(Conn& conn) {
     // A short read drained the socket; no second call just to see EAGAIN.
     if (static_cast<std::size_t>(n) < spans[0].size) return matched;
   }
-}
-
-ClientStats Client::stats() const {
-  ClientStats s;
-  s.timeouts = timeouts_;
-  s.retries = retries_;
-  s.failovers = failovers_;
-  s.reconnects = reconnects_;
-  s.abandoned = abandoned_;
-  s.late_responses = late_responses_;
-  s.connect_retries = connect_retries_;
-  return s;
 }
 
 }  // namespace pqs::net

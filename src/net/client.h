@@ -122,7 +122,7 @@ class Client {
   // Latency of each response read so far, readable at any time; after
   // drain(), of every response.
   const stats::LatencyHistogram& histogram() const { return histogram_; }
-  ClientStats stats() const;
+  const ClientStats& stats() const { return stats_; }
 
  private:
   // One queued request awaiting its response.
@@ -187,13 +187,7 @@ class Client {
   std::uint64_t reads_empty_ = 0;
   // Recovery state.
   math::Rng retry_rng_;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t reconnects_ = 0;
-  std::uint64_t abandoned_ = 0;
-  std::uint64_t late_responses_ = 0;
-  std::uint64_t connect_retries_ = 0;
+  ClientStats stats_;
 };
 
 }  // namespace pqs::net

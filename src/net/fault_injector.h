@@ -31,9 +31,10 @@ namespace pqs::net {
 enum class FaultAction : std::uint8_t {
   kNone = 0,
   kReset,     // SO_LINGER(0) + close: the peer sees ECONNRESET
-  kStall,     // queue the response but never flush it (slow-loris)
+  kStall,     // send neither this response nor any later one (slow-loris)
   kTruncate,  // flush half a frame, then close in an orderly way
-  kDelay,     // flush the response after FaultInjector::kDelayNs
+  kDelay,     // hold the connection's flush for FaultInjector::kDelayNs;
+              // responses completed meanwhile leave with it
 };
 
 class FaultInjector {
@@ -49,7 +50,9 @@ class FaultInjector {
     double delay_prob = 0.0;
   };
 
-  // How long a kDelay verdict defers the response's flush.
+  // How long a kDelay verdict holds the connection's flush: the IO thread
+  // keeps the connection on its ready list with this due time and sleeps
+  // in epoll_wait no longer than the earliest one.
   static constexpr std::uint64_t kDelayNs = 2'000'000;
 
   FaultInjector() : FaultInjector(Config{}) {}

@@ -3,15 +3,21 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
-#include <netinet/tcp.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "util/require.h"
 
@@ -33,7 +39,40 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+std::uint64_t mono_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 }  // namespace
+
+KvServer::Loop::Loop()
+    : epoll_fd(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  PQS_REQUIRE(epoll_fd >= 0, "epoll_create1 failed");
+  PQS_REQUIRE(wake_fd >= 0, "eventfd failed");
+  watch(EPOLL_CTL_ADD, wake_fd, EPOLLIN, nullptr);
+}
+
+KvServer::Loop::~Loop() {
+  ::close(wake_fd);
+  ::close(epoll_fd);
+}
+
+void KvServer::Loop::watch(int op, int fd, std::uint32_t events, void* tag) {
+  epoll_event ev{};
+  ev.events = events | EPOLLET;
+  ev.data.ptr = tag;
+  PQS_REQUIRE(::epoll_ctl(epoll_fd, op, fd, &ev) == 0, "epoll_ctl failed");
+}
+
+void KvServer::Loop::wake() {
+  const std::uint64_t one = 1;
+  // A full eventfd counter still leaves the loop signalled; ignore EAGAIN.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+}
 
 KvServer::KvServer(Config config, serve::KvService& service)
     : config_(std::move(config)), service_(service) {
@@ -77,15 +116,13 @@ void KvServer::start() {
 
   loops_.clear();
   for (std::uint32_t i = 0; i < config_.io_threads; ++i) {
-    loops_.push_back(std::make_unique<EventLoop>());
+    loops_.push_back(std::make_unique<Loop>());
   }
   // The acceptor lives on loop 0; connections are dealt round-robin.
-  loops_[0]->add_fd(listen_fd_, EPOLLIN, [this](std::uint32_t) {
-    accept_ready();
-  });
+  loops_[0]->watch(EPOLL_CTL_ADD, listen_fd_, EPOLLIN, this);
   io_threads_.reserve(loops_.size());
   for (auto& loop : loops_) {
-    io_threads_.emplace_back([&loop] { loop->run(); });
+    io_threads_.emplace_back([this, l = loop.get()] { run_loop(*l); });
   }
   running_ = true;
 }
@@ -94,21 +131,21 @@ void KvServer::stop() {
   if (!running_) return;
   PQS_REQUIRE(!service_.running(),
               "stop the service before the server (in-flight completions)");
-  for (auto& loop : loops_) loop->stop();
+  for (auto& loop : loops_) {
+    loop->stopping.store(true, std::memory_order_release);
+    loop->wake();
+  }
   for (auto& t : io_threads_) t.join();
   io_threads_.clear();
   {
     std::unique_lock<std::shared_mutex> lock(conns_mutex_);
     for (auto& [id, conn] : conns_) {
-      // Drain queued replies before closing: a completion that raced the
-      // final dispatch round has its bytes buffered (the loops drain
-      // posted flush tasks on exit), so pushing the residue here means a
-      // client that saw its request accepted gets its response.
-      // Stalled connections stay stalled — that is the injected fault.
-      if (!conn->closed.load(std::memory_order_acquire) &&
-          !conn->stalled.load(std::memory_order_acquire)) {
-        flush_remaining(*conn);
-      }
+      // Drain queued replies before closing: the loops flushed their
+      // ready lists on exit, and this pushes what EAGAIN left behind, so
+      // a client that saw its request accepted gets its response. A
+      // stalled connection stays stalled: its stalled response and every
+      // later one were never appended.
+      flush_remaining(*conn);
       conn->closed.store(true, std::memory_order_release);
       ::close(conn->fd);
     }
@@ -121,6 +158,77 @@ void KvServer::stop() {
   running_ = false;
 }
 
+void KvServer::run_loop(Loop& loop) {
+  std::array<epoll_event, 64> events;
+  while (!loop.stopping.load(std::memory_order_acquire)) {
+    // Block until an event, or until the earliest kDelay entry is due.
+    int timeout_ms = -1;
+    if (!loop.flushing.empty()) {
+      std::uint64_t due = std::numeric_limits<std::uint64_t>::max();
+      for (const Ready& r : loop.flushing) due = std::min(due, r.due_ns);
+      const std::uint64_t now = mono_now_ns();
+      timeout_ms = due <= now ? 0
+                              : static_cast<int>((due - now + 999'999) /
+                                                 1'000'000);
+    }
+    const int n = ::epoll_wait(loop.epoll_fd, events.data(),
+                               static_cast<int>(events.size()), timeout_ms);
+    if (n < 0) {
+      PQS_REQUIRE(errno == EINTR, "epoll_wait failed");
+      continue;
+    }
+    for (int i = 0; i < n; ++i) {
+      void* const tag = events[i].data.ptr;
+      if (tag == nullptr) {  // the eventfd: the flush pass takes the list
+        std::uint64_t count = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(loop.wake_fd, &count, sizeof(count));
+      } else if (tag == this) {
+        accept_ready();
+      } else {
+        // The reference keeps the connection alive if this event closes it.
+        handle_io(static_cast<Connection*>(tag)->shared_from_this(),
+                  events[i].events);
+      }
+    }
+    flush_ready(loop, mono_now_ns());
+  }
+  // On exit every entry counts as due: stop() must send what completions
+  // queued, delayed ones included.
+  flush_ready(loop, std::numeric_limits<std::uint64_t>::max());
+}
+
+void KvServer::flush_ready(Loop& loop, std::uint64_t now_ns) {
+  {
+    std::lock_guard<std::mutex> lock(loop.ready_mutex);
+    loop.flushing.insert(loop.flushing.end(),
+                         std::make_move_iterator(loop.ready.begin()),
+                         std::make_move_iterator(loop.ready.end()));
+    loop.ready.clear();
+  }
+  const auto due = std::partition(
+      loop.flushing.begin(), loop.flushing.end(),
+      [now_ns](const Ready& r) { return r.due_ns > now_ns; });
+  for (auto it = due; it != loop.flushing.end(); ++it) flush(it->conn);
+  loop.flushing.erase(due, loop.flushing.end());
+}
+
+void KvServer::flush(const std::shared_ptr<Connection>& conn) {
+  FaultAction end;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mutex);
+    conn->flush_queued = false;
+    end = conn->end;
+  }
+  try_write(conn);
+  if (end == FaultAction::kReset) {
+    reset_connection(conn);
+  } else if (end == FaultAction::kTruncate) {
+    // An orderly close: the peer reads the half frame, then EOF.
+    close_connection(conn);
+  }
+}
+
 void KvServer::accept_ready() {
   for (;;) {
     const int fd =
@@ -131,9 +239,8 @@ void KvServer::accept_ready() {
       return;  // transient accept failure; the listener stays armed
     }
     set_nodelay(fd);
-    auto conn = std::make_shared<Connection>(next_conn_id_++, fd);
-    EventLoop* loop = loops_[next_loop_++ % loops_.size()].get();
-    conn->loop = loop;
+    Loop& loop = *loops_[next_loop_++ % loops_.size()];
+    auto conn = std::make_shared<Connection>(next_conn_id_++, fd, loop);
     {
       std::unique_lock<std::shared_mutex> lock(conns_mutex_);
       conns_.emplace(conn->id, conn);
@@ -141,16 +248,14 @@ void KvServer::accept_ready() {
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     // epoll_ctl is thread-safe, so the acceptor can register the fd on
     // the owning loop's epoll directly; all subsequent events for it
-    // fire on that loop's thread.
-    loop->add_fd(fd, EPOLLIN, [this, conn](std::uint32_t events) {
-      handle_io(conn, events);
-    });
+    // fire on that loop's thread. conns_ holds the connection until that
+    // thread closes it.
+    loop.watch(EPOLL_CTL_ADD, fd, EPOLLIN, conn.get());
   }
 }
 
 void KvServer::handle_io(const std::shared_ptr<Connection>& conn,
                          std::uint32_t events) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
   if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
     close_connection(conn);
     return;
@@ -261,60 +366,41 @@ void KvServer::enqueue_response(const std::shared_ptr<Connection>& conn,
   if (conn->closed.load(std::memory_order_acquire)) return;
   unsigned char wire[kFrameBytes];
   encode_frame(frame, wire);
-  // Fault-injection seam: the injector's verdict can replace the normal
-  // flush. Everything socket-touching still happens on the owning IO
-  // thread — the verdict only changes *which* task gets posted. Only a
-  // connection that can still carry a response asks for one, so the
-  // injector counts the faults that reached the wire.
+  // Fault-injection seam: the injector's verdict becomes connection state
+  // that the owning IO thread acts on when it flushes. Only a connection
+  // that can still carry a response asks for one, so the injector counts
+  // the faults that reached the wire.
   FaultAction action = FaultAction::kNone;
   {
     std::lock_guard<std::mutex> lock(conn->out_mutex);
-    if (conn->ended || conn->stalled.load(std::memory_order_relaxed)) {
-      return;
-    }
+    if (conn->end != FaultAction::kNone) return;
     if (config_.fault_injector != nullptr) {
       action = config_.fault_injector->on_response(conn->id);
     }
-    conn->ended =
-        action == FaultAction::kReset || action == FaultAction::kTruncate;
-    if (action != FaultAction::kReset) {
-      const std::size_t bytes =
-          action == FaultAction::kTruncate ? kFrameBytes / 2 : kFrameBytes;
-      conn->out.insert(conn->out.end(), wire, wire + bytes);
-    }
-    if (action == FaultAction::kStall) {
-      // Slow-loris: the bytes sit in the buffer and no flush is ever
-      // posted. The connection stays open and silent.
-      conn->stalled.store(true, std::memory_order_release);
-      return;
-    }
-  }
-  if (action == FaultAction::kReset) {
-    conn->loop->post([this, conn] { reset_connection(conn); });
-    return;
-  }
-  if (action == FaultAction::kTruncate) {
-    // Push the half frame, then close in an orderly way: the peer sees a
-    // partial frame followed by EOF.
-    conn->loop->post([this, conn] {
-      try_write(conn);
-      close_connection(conn);
-    });
-    return;
-  }
-  // Collapse a burst of completions into one flush task on the owning IO
-  // thread — the only thread that ever writes to the socket.
-  if (!conn->flush_pending.exchange(true, std::memory_order_acq_rel)) {
-    auto flush = [this, conn] {
-      conn->flush_pending.store(false, std::memory_order_release);
-      try_write(conn);
-    };
-    if (action == FaultAction::kDelay) {
-      conn->loop->post_after(FaultInjector::kDelayNs, std::move(flush));
+    if (action == FaultAction::kNone || action == FaultAction::kDelay) {
+      conn->out.insert(conn->out.end(), wire, wire + kFrameBytes);
     } else {
-      conn->loop->post(std::move(flush));
+      // A stalled connection stays open and silent.
+      conn->end = action;
+      if (action == FaultAction::kTruncate) {
+        conn->out.insert(conn->out.end(), wire, wire + kFrameBytes / 2);
+      }
     }
+    // A queued flush carries this response too.
+    if (conn->flush_queued) return;
+    conn->flush_queued = true;
   }
+  const std::uint64_t due_ns = action == FaultAction::kDelay
+                                   ? mono_now_ns() + FaultInjector::kDelayNs
+                                   : 0;
+  Loop& loop = conn->loop;
+  bool was_empty = false;
+  {
+    std::lock_guard<std::mutex> lock(loop.ready_mutex);
+    was_empty = loop.ready.empty();
+    loop.ready.push_back(Ready{conn, due_ns});
+  }
+  if (was_empty) loop.wake();
 }
 
 void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
@@ -328,13 +414,13 @@ void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!conn->want_write) {
           conn->want_write = true;
-          conn->loop->modify_fd(conn->fd, EPOLLIN | EPOLLOUT);
+          conn->loop.watch(EPOLL_CTL_MOD, conn->fd, EPOLLIN | EPOLLOUT,
+                           conn.get());
         }
         return;
       }
-      // Hard send error (the peer reset): reap the fd now. Nothing else
-      // would — handle_io ignores a closed connection — so a peer that
-      // resets mid-flush would otherwise pin its fd until stop().
+      // Hard send error (the peer reset): reap the fd now, or a peer
+      // that resets mid-flush could pin its fd until stop().
       close_connection(conn);
       return;
     }
@@ -342,7 +428,7 @@ void KvServer::try_write(const std::shared_ptr<Connection>& conn) {
   }
   if (conn->want_write) {
     conn->want_write = false;
-    conn->loop->modify_fd(conn->fd, EPOLLIN);
+    conn->loop.watch(EPOLL_CTL_MOD, conn->fd, EPOLLIN, conn.get());
   }
 }
 
@@ -361,7 +447,7 @@ bool KvServer::refill_sending(Connection& conn) {
 
 void KvServer::close_connection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  conn->loop->remove_fd(conn->fd);
+  ::epoll_ctl(conn->loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   {
     std::unique_lock<std::shared_mutex> lock(conns_mutex_);
     conns_.erase(conn->id);

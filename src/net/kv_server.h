@@ -1,19 +1,21 @@
 // The TCP front end for the sharded serving tier.
 //
-// KvServer binds a loopback (or any) TCP listener and runs N EventLoop IO
-// threads. Connections are accepted on loop 0 and assigned round-robin;
-// each connection owns a FrameDecoder ring the socket reads land in, and
-// every decoded GET/PUT becomes a serve::Request submitted straight into
-// the KvService per-shard MPSC rings with wants_reply set — the IO thread
-// never waits for the answer. When a shard worker finishes the request,
-// the service's completion hook (installed by start()) encodes the
-// response frame into the connection's outbound buffer and posts a flush
-// to the connection's own IO thread, which owns every socket write; the
-// worker thread never touches a socket, so a slow or blocked peer can
-// never stall the protocol hot loop. The buffer's out_mutex guards
-// memory only: a worker holds it for one append, the IO thread for one
-// swap of the appended bytes into its own send buffer, and neither holds
-// it across a syscall.
+// KvServer binds a loopback (or any) TCP listener and runs N IO threads,
+// each an edge-triggered epoll loop of its own. Connections are accepted
+// on loop 0 and assigned round-robin; each connection owns a FrameDecoder
+// ring the socket reads land in, and every decoded GET/PUT becomes a
+// serve::Request submitted straight into the KvService per-shard MPSC
+// rings with wants_reply set — the IO thread never waits for the answer.
+// When a shard worker finishes the request, the service's completion hook
+// (installed by start()) encodes the response frame into the connection's
+// outbound buffer and puts the connection on its IO thread's ready list,
+// waking that thread only if the list was empty. The IO thread, which
+// owns every socket write and close, flushes the listed connections after
+// each round of epoll events; the worker thread never touches a socket,
+// so a slow or blocked peer can never stall the protocol hot loop. The
+// buffer's out_mutex guards memory only: a worker holds it for one
+// append, the IO thread for one swap of the appended bytes into its own
+// send buffer, and neither holds it across a syscall.
 //
 // Ordering and determinism: one connection's frames are decoded and
 // submitted in wire order by a single IO thread, so with one client
@@ -41,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/event_loop.h"
 #include "net/fault_injector.h"
 #include "net/frame.h"
 #include "serve/kv_service.h"
@@ -99,39 +100,85 @@ class KvServer {
   // Bytes of each connection's decoder ring.
   static constexpr std::size_t kDecoderCapacity = 1 << 16;
 
-  struct Connection {
-    Connection(std::uint64_t id_, int fd_)
-        : id(id_), fd(fd_), decoder(kDecoderCapacity) {}
+  struct Loop;
+
+  struct Connection : std::enable_shared_from_this<Connection> {
+    Connection(std::uint64_t id_, int fd_, Loop& loop_)
+        : id(id_), fd(fd_), loop(loop_), decoder(kDecoderCapacity) {}
     const std::uint64_t id;
     const int fd;
-    EventLoop* loop = nullptr;  // the IO thread that owns this socket
+    Loop& loop;  // the IO thread that owns this socket
     FrameDecoder decoder;
     // The outbound buffer is the one cross-thread seam per connection:
     // out_mutex covers a shard worker's append of a response frame to
     // `out` and the owning IO thread's swap of `out` into `sending`,
     // never a syscall: the IO thread writes `sending` to the socket with
     // no lock held, and in full before the next swap, so bytes leave in
-    // the order they were appended even across EAGAIN. flush_pending
-    // collapses a burst of completions into one posted flush task.
+    // the order they were appended even across EAGAIN.
     std::mutex out_mutex;
     std::vector<unsigned char> out;
-    // Set, under out_mutex, by a kReset or kTruncate verdict. The stream
-    // ends there: later responses append and post nothing (after a half
-    // frame the peer would otherwise read a misaligned stream, not a
-    // partial frame and EOF) and ask the injector for no verdict.
-    bool ended = false;
+    // Set by the response that puts the connection on its loop's ready
+    // list, cleared when the loop flushes it (a kDelay entry waits in
+    // `flushing` until due): later responses append and ride that flush.
+    // Under out_mutex.
+    bool flush_queued = false;
+    // The verdict that ended the stream: kReset, kTruncate or kStall, or
+    // kNone while it can carry responses. The verdict's own response
+    // appends half a frame for kTruncate and nothing otherwise; later
+    // responses append nothing (after a half frame the peer would
+    // otherwise read a misaligned stream, not a partial frame and EOF)
+    // and ask the injector for no verdict. The IO thread carries out a
+    // reset or truncate when it flushes, after the bytes appended before
+    // it. Under out_mutex.
+    FaultAction end = FaultAction::kNone;
     std::vector<unsigned char> sending;  // loop-thread-only
     std::size_t sending_offset = 0;      // written prefix of `sending`
     bool want_write = false;             // EPOLLOUT armed (loop-thread-only)
-    std::atomic<bool> flush_pending{false};
     std::atomic<bool> closed{false};
-    // Injected slow-loris: queued bytes are never flushed (and the
-    // stop() drain skips them, so a stalled connection stays stalled
-    // through shutdown instead of un-stalling at the last moment). Set
-    // under out_mutex; later responses are not queued.
-    std::atomic<bool> stalled{false};
   };
 
+  // A connection a worker gave output to, and the monotonic time before
+  // which its loop must not flush it (0 unless a kDelay verdict set it).
+  struct Ready {
+    std::shared_ptr<Connection> conn;
+    std::uint64_t due_ns = 0;
+  };
+
+  // One IO thread's state. Its epoll events carry their Connection*; the
+  // eventfd's event carries nullptr and the listener's (loop 0 only) the
+  // server itself, so dispatch takes no lock and looks nothing up. A
+  // connection is closed only on its own loop, in its own event or in
+  // the flush pass after the round's events, and epoll reports an fd at
+  // most once a round, so a tag is live when its event is dispatched.
+  struct Loop {
+    Loop();
+    ~Loop();
+    Loop(const Loop&) = delete;
+    Loop& operator=(const Loop&) = delete;
+    // (Re)registers `fd` edge-triggered for `events` with `tag`.
+    void watch(int op, int fd, std::uint32_t events, void* tag);
+    void wake();
+
+    const int epoll_fd;
+    const int wake_fd;
+    std::atomic<bool> stopping{false};
+    // Connections workers gave output to since the loop last took the
+    // list. A worker that finds it empty writes the eventfd; a non-empty
+    // list already has a wake-up on its way.
+    std::mutex ready_mutex;
+    std::vector<Ready> ready;
+    // Loop-thread-only: what the flush pass took from `ready`; kDelay
+    // entries stay here until due, and the earliest sets epoll_wait's
+    // timeout.
+    std::vector<Ready> flushing;
+  };
+
+  void run_loop(Loop& loop);
+  // Flushes every entry of `loop`'s ready list due by `now_ns`.
+  void flush_ready(Loop& loop, std::uint64_t now_ns);
+  // Loop-thread-only: writes what `conn` has queued, then carries out the
+  // reset or truncate that ended its stream, if one did.
+  void flush(const std::shared_ptr<Connection>& conn);
   void accept_ready();
   void handle_io(const std::shared_ptr<Connection>& conn,
                  std::uint32_t events);
@@ -160,7 +207,7 @@ class KvServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   bool running_ = false;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
+  std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::thread> io_threads_;
   std::uint64_t next_conn_id_ = 1;
   std::uint32_t next_loop_ = 0;

@@ -423,7 +423,8 @@ TEST(KvServerFaults, SlowLorisStallIsolatedToOneConnection) {
   // error, just silence. Its requests must time out and fail over to the
   // healthy second connection while that connection's requests proceed
   // undisturbed; the stalled socket stays wedged through server stop()
-  // (the shutdown drain deliberately skips stalled connections).
+  // (stalled responses are never queued, so the shutdown drain has
+  // nothing of them to send).
   FaultInjector injector;
   injector.set_action(1, FaultAction::kStall);
   const ClientStats stats = run_against_fault(injector, 2, 50);
@@ -433,10 +434,14 @@ TEST(KvServerFaults, SlowLorisStallIsolatedToOneConnection) {
 }
 
 TEST(KvServerFaults, DelayedResponsesCompleteWithoutDeadlines) {
-  // kDelay defers each flush through the event loop's timer queue but
-  // loses nothing, so even the strict legacy client (no deadlines, any
-  // anomaly fatal) must see every response — this pins the timer path as
-  // a pure reordering-free delay.
+  // kDelay holds each flush for FaultInjector::kDelayNs, through a due
+  // time on the connection's ready-list entry, but loses nothing, so even
+  // the strict legacy client (no deadlines, any anomaly fatal) must see
+  // every response — this pins the delay as a pure reordering-free
+  // delay. The 40 requests leave in one flush at drain() (1,280 bytes,
+  // under the client's flush threshold), and every response rides a
+  // flush held kDelayNs after some completion, so every round trip takes
+  // at least the delay.
   FaultInjector injector;
   injector.set_action(1, FaultAction::kDelay);
 
@@ -458,6 +463,7 @@ TEST(KvServerFaults, DelayedResponsesCompleteWithoutDeadlines) {
   client.drain();
   EXPECT_EQ(client.received(), 40u);
   EXPECT_GE(injector.delays(), 40u);
+  EXPECT_GE(client.histogram().p50(), FaultInjector::kDelayNs);
   client.stop();
   service.stop_and_drain();
   server.stop();
@@ -575,7 +581,7 @@ bool read_frame(int fd, FrameDecoder& decoder, Frame& out) {
 TEST(KvServerFaults, TruncateEndsTheStreamMidFrame) {
   // Every response on connection 1 is judged kTruncate. The first one's
   // half frame must be the last byte on the wire, then EOF: completions
-  // that land before the posted close must not follow it. A deep
+  // that land before the IO thread closes must not follow it. A deep
   // pipeline against small rings keeps the IO thread busy submitting
   // while the workers complete, which is what opens that window.
   FaultInjector injector;
